@@ -1,5 +1,6 @@
 #include "partition/distributed_block.hpp"
 
+#include <algorithm>
 #include <span>
 
 #include "kernels/attention.hpp"
@@ -10,6 +11,37 @@
 #include "util/check.hpp"
 
 namespace distmcu::partition {
+
+namespace {
+
+/// Copy of the [rows, cols] block of `t` at (r0, c0): one head's columns
+/// of one segment's rows.
+model::Tensor head_rows(const model::Tensor& t, int r0, int rows, int c0, int cols) {
+  model::Tensor out(rows, cols);
+  for (int r = 0; r < rows; ++r) {
+    const auto src = t.row(r0 + r).subspan(static_cast<std::size_t>(c0),
+                                           static_cast<std::size_t>(cols));
+    std::copy(src.begin(), src.end(), out.row(r).begin());
+  }
+  return out;
+}
+
+}  // namespace
+
+void check_row_segments(std::span<const RowSegment> segments, int total_rows) {
+  DISTMCU_CHECK(!segments.empty(), "row segments: need at least one segment");
+  int rows = 0;
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    DISTMCU_CHECK(segments[i].rows > 0, "row segments: every segment needs rows");
+    rows += segments[i].rows;
+    for (std::size_t j = 0; j < i; ++j) {
+      DISTMCU_CHECK(segments[i].chip_caches == nullptr ||
+                        segments[i].chip_caches != segments[j].chip_caches,
+                    "row segments: two segments share KV caches");
+    }
+  }
+  DISTMCU_CHECK(rows == total_rows, "row segments: rows do not cover the input");
+}
 
 DistributedBlock::DistributedBlock(const model::TransformerConfig& cfg,
                                    const model::Weights& weights,
@@ -59,69 +91,75 @@ void DistributedBlock::apply_activation(model::Tensor& t) const {
   }
 }
 
-model::Tensor DistributedBlock::mhsa_partial(
-    const model::Tensor& x, int chip, int layer,
-    std::vector<std::vector<model::KvCache>>* caches, int pos_offset) const {
+model::Tensor DistributedBlock::mhsa_partial(const model::Tensor& x, int chip, int layer,
+                                             std::span<const RowSegment> segments) const {
   const WeightShard& w = shards_.shard(chip, layer);
   const int s = x.rows();
   const int e = cfg_.embed_dim;
-  const int p = cfg_.head_dim;
   const int pw = plan_.proj_width(chip);
-  const int local_heads = plan_.slice(chip).num_heads();
 
   model::Tensor q(s, pw), k(s, pw), v(s, pw);
   kernels::gemm(x.span(), w.wq.span(), q.span(), s, pw, e);
   kernels::gemm(x.span(), w.wk.span(), k.span(), s, pw, e);
   kernels::gemm(x.span(), w.wv.span(), v.span(), s, pw, e);
 
-  if (cfg_.pos == model::PosEmbed::rope) {
-    // RoPE depends only on the absolute position, never on the head
-    // index, so each chip rotates its own slice with no communication.
-    for (int h = 0; h < local_heads; ++h) {
-      model::Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-      model::Tensor kh = k.slice_cols(h * p, (h + 1) * p);
-      kernels::rope_apply(qh.span(), s, p, pos_offset, cfg_.rope_base);
-      kernels::rope_apply(kh.span(), s, p, pos_offset, cfg_.rope_base);
-      for (int r = 0; r < s; ++r) {
-        for (int c = 0; c < p; ++c) {
-          q.at(r, h * p + c) = qh.at(r, c);
-          k.at(r, h * p + c) = kh.at(r, c);
-        }
-      }
-    }
-  }
-
-  if (caches != nullptr) {
-    auto& cache = (*caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
-    for (int r = 0; r < s; ++r) cache.append(k.row(r), v.row(r));
-  }
-
   model::Tensor ctx(s, pw);
-  const bool causal = cfg_.mask == model::MaskKind::causal;
-  for (int h = 0; h < local_heads; ++h) {
-    const model::Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-    model::Tensor kh, vh;
-    if (caches != nullptr) {
-      const auto& cache =
-          (*caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
-      kh = cache.k_slice(h * p, (h + 1) * p);
-      vh = cache.v_slice(h * p, (h + 1) * p);
-    } else {
-      kh = k.slice_cols(h * p, (h + 1) * p);
-      vh = v.slice_cols(h * p, (h + 1) * p);
-    }
-    model::Tensor oh(s, p);
-    kernels::attention_head(qh.span(), kh.span(), vh.span(), oh.span(), s, kh.rows(), p,
-                            causal, pos_offset);
-    for (int r = 0; r < s; ++r) {
-      for (int c = 0; c < p; ++c) ctx.at(r, h * p + c) = oh.at(r, c);
-    }
+  int r0 = 0;
+  for (const RowSegment& seg : segments) {
+    attend_segment(q, k, v, ctx, r0, seg, chip, layer);
+    r0 += seg.rows;
   }
 
   // Partial output: this chip's rows of WO applied to its context slice.
   model::Tensor partial(s, e);
   kernels::gemm(ctx.span(), w.wo.span(), partial.span(), s, e, pw);
   return partial;
+}
+
+void DistributedBlock::attend_segment(model::Tensor& q, model::Tensor& k,
+                                      const model::Tensor& v, model::Tensor& ctx, int r0,
+                                      const RowSegment& seg, int chip, int layer) const {
+  const int n = seg.rows;
+  const int p = cfg_.head_dim;
+  const int local_heads = plan_.slice(chip).num_heads();
+
+  if (cfg_.pos == model::PosEmbed::rope) {
+    // RoPE depends only on the absolute position, never on the head
+    // index, so each chip rotates its own slice with no communication.
+    for (int r = 0; r < n; ++r) {
+      for (int h = 0; h < local_heads; ++h) {
+        const auto c0 = static_cast<std::size_t>(h * p);
+        const auto width = static_cast<std::size_t>(p);
+        kernels::rope_apply(q.row(r0 + r).subspan(c0, width), 1, p, seg.pos_offset + r,
+                            cfg_.rope_base);
+        kernels::rope_apply(k.row(r0 + r).subspan(c0, width), 1, p, seg.pos_offset + r,
+                            cfg_.rope_base);
+      }
+    }
+  }
+
+  model::KvCache* cache =
+      seg.chip_caches == nullptr
+          ? nullptr
+          : &(*seg.chip_caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
+  if (cache != nullptr) {
+    for (int r = 0; r < n; ++r) cache->append(k.row(r0 + r), v.row(r0 + r));
+  }
+
+  const bool causal = cfg_.mask == model::MaskKind::causal;
+  for (int h = 0; h < local_heads; ++h) {
+    const model::Tensor qh = head_rows(q, r0, n, h * p, p);
+    const model::Tensor kh =
+        cache != nullptr ? cache->k_slice(h * p, (h + 1) * p) : head_rows(k, r0, n, h * p, p);
+    const model::Tensor vh =
+        cache != nullptr ? cache->v_slice(h * p, (h + 1) * p) : head_rows(v, r0, n, h * p, p);
+    model::Tensor oh(n, p);
+    kernels::attention_head(qh.span(), kh.span(), vh.span(), oh.span(), n, kh.rows(), p,
+                            causal, seg.pos_offset);
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < p; ++c) ctx.at(r0 + r, h * p + c) = oh.at(r, c);
+    }
+  }
 }
 
 model::Tensor DistributedBlock::ffn_partial(const model::Tensor& h, int chip,
@@ -171,9 +209,10 @@ void DistributedBlock::record_broadcast(std::uint64_t elems, CommRecord* comm) c
 }
 
 model::Tensor DistributedBlock::forward(const model::Tensor& x, int layer,
-                                        std::vector<std::vector<model::KvCache>>* chip_caches,
-                                        int pos_offset, CommRecord* comm) const {
+                                        std::span<const RowSegment> segments,
+                                        CommRecord* comm) const {
   DISTMCU_CHECK(x.cols() == cfg_.embed_dim, "DistributedBlock::forward: input width != E");
+  check_row_segments(segments, x.rows());
   const model::LayerWeights& lw = weights_.layer(layer);
   const int n = plan_.num_chips();
 
@@ -187,7 +226,7 @@ model::Tensor DistributedBlock::forward(const model::Tensor& x, int layer,
   std::vector<model::Tensor> partials;
   partials.reserve(static_cast<std::size_t>(n));
   for (int c = 0; c < n; ++c) {
-    partials.push_back(mhsa_partial(attn_in, c, layer, chip_caches, pos_offset));
+    partials.push_back(mhsa_partial(attn_in, c, layer, segments));
   }
   const model::Tensor a = reduce_with_skip(partials, x, comm);
 

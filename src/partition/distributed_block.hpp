@@ -2,6 +2,7 @@
 #define DISTMCU_PARTITION_DISTRIBUTED_BLOCK_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/config.hpp"
@@ -25,6 +26,23 @@ struct CommRecord {
 
   [[nodiscard]] int synchronizations() const { return reduces; }
 };
+
+/// One request's rows inside a stacked block input: `rows` consecutive
+/// rows of x at absolute positions pos_offset, pos_offset + 1, ...
+/// `chip_caches`, when non-null, is indexed [chip][layer] and holds this
+/// request's per-chip KV slices (dim = proj_width); the rows append to
+/// them and attend over them. Without caches the rows attend only to
+/// each other.
+struct RowSegment {
+  int rows = 0;
+  std::vector<std::vector<model::KvCache>>* chip_caches = nullptr;
+  int pos_offset = 0;
+};
+
+/// Throws unless `segments` is non-empty, every segment has rows, the
+/// rows sum to `total_rows`, and no two segments share KV caches (a
+/// shared cache would let one segment see another's appended rows).
+void check_row_segments(std::span<const RowSegment> segments, int total_rows);
 
 /// Functional (numerically real) execution of one Transformer block under
 /// the paper's partitioning, following Fig. 3 exactly:
@@ -50,13 +68,28 @@ class DistributedBlock {
                    const ShardedWeights& shards, const PartitionPlan& plan,
                    const noc::Topology& topo);
 
-  /// Execute one block. `x` is the block input (logically broadcast to
-  /// all chips). `chip_caches`, when non-null, is indexed
-  /// [chip][layer] and holds each chip's KV slice (dim = proj_width).
-  /// `pos_offset` is the absolute position of x's first row.
+  /// Execute one block over a stack of requests. `x` [R, E] is the
+  /// block input (logically broadcast to all chips), cut top to bottom
+  /// into `segments`, one per request. Every projection, norm, reduce
+  /// and broadcast runs once over all R rows, so each weight shard is
+  /// read once for the whole stack; RoPE, the KV append and attention
+  /// run per segment. Every kernel is row-independent, so each output
+  /// row and each segment's caches are bit-identical to running that
+  /// segment alone.
+  [[nodiscard]] model::Tensor forward(const model::Tensor& x, int layer,
+                                      std::span<const RowSegment> segments,
+                                      CommRecord* comm = nullptr) const;
+
+  /// One request: the one-segment case of the stacked forward above.
+  /// `chip_caches`, when non-null, is indexed [chip][layer] and holds
+  /// each chip's KV slice; `pos_offset` is the absolute position of x's
+  /// first row.
   [[nodiscard]] model::Tensor forward(const model::Tensor& x, int layer,
                                       std::vector<std::vector<model::KvCache>>* chip_caches,
-                                      int pos_offset, CommRecord* comm = nullptr) const;
+                                      int pos_offset, CommRecord* comm = nullptr) const {
+    const RowSegment whole{x.rows(), chip_caches, pos_offset};
+    return forward(x, layer, {&whole, 1}, comm);
+  }
 
   /// Per-chip, per-layer KV caches sized for each chip's head slice.
   [[nodiscard]] std::vector<std::vector<model::KvCache>> make_chip_caches(
@@ -66,10 +99,14 @@ class DistributedBlock {
   [[nodiscard]] const noc::Topology& topology() const { return topo_; }
 
  private:
-  /// Per-chip partial MHSA output [S, E] for chip `c`.
+  /// Per-chip partial MHSA output [R, E] for chip `c`.
   [[nodiscard]] model::Tensor mhsa_partial(const model::Tensor& x, int chip, int layer,
-                                           std::vector<std::vector<model::KvCache>>* caches,
-                                           int pos_offset) const;
+                                           std::span<const RowSegment> segments) const;
+  /// RoPE, KV append and per-head attention of one segment, whose rows
+  /// start at `r0` of the chip's stacked q/k/v; writes ctx's rows.
+  void attend_segment(model::Tensor& q, model::Tensor& k, const model::Tensor& v,
+                      model::Tensor& ctx, int r0, const RowSegment& seg, int chip,
+                      int layer) const;
   /// Per-chip partial FFN output [S, E].
   [[nodiscard]] model::Tensor ffn_partial(const model::Tensor& h, int chip,
                                           int layer) const;

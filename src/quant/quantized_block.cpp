@@ -319,4 +319,22 @@ model::Tensor QuantizedBlock::forward(
   return out;
 }
 
+model::Tensor QuantizedBlock::forward(const model::Tensor& x, int layer,
+                                      std::span<const partition::RowSegment> segments,
+                                      partition::CommRecord* comm) const {
+  partition::check_row_segments(segments, x.rows());
+  model::Tensor out(x.rows(), x.cols());
+  int r0 = 0;
+  for (const partition::RowSegment& seg : segments) {
+    const model::Tensor y = forward(x.slice_rows(r0, r0 + seg.rows), layer,
+                                    seg.chip_caches, seg.pos_offset, comm);
+    for (int r = 0; r < seg.rows; ++r) {
+      const auto src = y.row(r);
+      std::copy(src.begin(), src.end(), out.row(r0 + r).begin());
+    }
+    r0 += seg.rows;
+  }
+  return out;
+}
+
 }  // namespace distmcu::quant

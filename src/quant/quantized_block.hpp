@@ -2,6 +2,7 @@
 #define DISTMCU_QUANT_QUANTIZED_BLOCK_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/config.hpp"
@@ -61,6 +62,15 @@ class QuantizedBlock {
       const model::Tensor& x, int layer,
       std::vector<std::vector<model::KvCache>>* chip_caches, int pos_offset,
       partition::CommRecord* comm = nullptr) const;
+
+  /// The stacked interface of `partition::DistributedBlock::forward`,
+  /// run one segment at a time. The A8W8 activation scales are one
+  /// absmax over the whole input tensor, so stacking requests would let
+  /// one request's values move another's scales and bits; a segment
+  /// run alone keeps every request's stream its own.
+  [[nodiscard]] model::Tensor forward(const model::Tensor& x, int layer,
+                                      std::span<const partition::RowSegment> segments,
+                                      partition::CommRecord* comm = nullptr) const;
 
   [[nodiscard]] int kv_bits() const { return kv_bits_; }
 

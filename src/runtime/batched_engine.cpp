@@ -1150,15 +1150,43 @@ void BatchedEngine::finish(Inflight& r, int step_idx) {
   ++pm.completed;
 }
 
-model::Tensor BatchedEngine::forward_tokens(const Inflight& r,
-                                            const std::vector<int>& toks,
-                                            int pos_offset) {
-  Tenant& t = tenants_[static_cast<std::size_t>(r.model)];
-  model::Tensor h = t.session->embedding().lookup(toks);
+model::Tensor BatchedEngine::forward_rows(
+    ModelId m, const std::vector<int>& tokens,
+    std::span<const partition::RowSegment> segments) const {
+  const Tenant& t = tenants_[static_cast<std::size_t>(m)];
+  model::Tensor h = t.session->embedding().lookup(tokens);
   for (int l = 0; l < t.session->config().num_layers; ++l) {
-    h = t.session->forward(h, l, &t.pool->slot(r.set), pos_offset);
+    h = t.session->forward(h, l, segments);
   }
   return h;
+}
+
+partition::RowSegment BatchedEngine::segment_of(const Inflight& r, int rows,
+                                                int pos_offset) {
+  Tenant& t = tenants_[static_cast<std::size_t>(r.model)];
+  return {rows, &t.pool->slot(r.set), pos_offset};
+}
+
+void BatchedEngine::decode_rows(ModelId m,
+                                const std::vector<std::size_t>& decoders) {
+  if (decoders.empty()) return;
+  std::vector<int> tokens;
+  std::vector<partition::RowSegment> segments;
+  tokens.reserve(decoders.size());
+  segments.reserve(decoders.size());
+  for (const std::size_t i : decoders) {
+    const Inflight& r = active_[i];
+    tokens.push_back(r.next);
+    segments.push_back(segment_of(r, 1, r.pos));
+  }
+  const model::Tensor h = forward_rows(m, tokens, segments);
+  const auto& emb = tenants_[static_cast<std::size_t>(m)].session->embedding();
+  for (std::size_t j = 0; j < decoders.size(); ++j) {
+    Inflight& r = active_[decoders[j]];
+    const int row = static_cast<int>(j);
+    r.next = emb.greedy_next(h.slice_rows(row, row + 1));
+    ++r.pos;
+  }
 }
 
 void BatchedEngine::admit_pending(int step_idx, double& step_energy,
@@ -1327,7 +1355,9 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy,
     // occupies the port.
     r.started = true;
     trace_admission(r);
-    const model::Tensor h = forward_tokens(r, r.prompt, 0);
+    const partition::RowSegment whole =
+        segment_of(r, static_cast<int>(r.prompt.size()), 0);
+    const model::Tensor h = forward_rows(r.model, r.prompt, {&whole, 1});
     r.tokens = r.prompt;
     r.prefill_pos = static_cast<int>(r.prompt.size());
     r.pos = static_cast<int>(r.prompt.size());
@@ -1455,13 +1485,13 @@ void BatchedEngine::donate_prefix(const Inflight& r) {
 
 // --------------------------------------------------------------------------
 // Serial-prefill sub-phase (this model's prompts were charged at
-// admission): one token commit + decode forward per active request.
+// admission): one token commit per active request, then one stacked
+// decode forward for every request that continues.
 // --------------------------------------------------------------------------
 
 void BatchedEngine::subphase_serial(ModelId m, int step_idx,
                                     double& step_energy, bool& step_decode) {
   Tenant& t = tenants_[static_cast<std::size_t>(m)];
-  const auto& emb = t.session->embedding();
   auto& pm = stats_.per_model[static_cast<std::size_t>(m)];
 
   // Emit one token per active request of this model; a request that
@@ -1483,13 +1513,12 @@ void BatchedEngine::subphase_serial(ModelId m, int step_idx,
       finish(r, step_idx);
       continue;
     }
-    r.next = emb.greedy_next(forward_tokens(r, {r.next}, r.pos));
-    ++r.pos;
     decoders.push_back(still_active.size());
     still_active.push_back(std::move(r));
   }
   active_ = std::move(still_active);
   if (decoders.empty()) return;
+  decode_rows(m, decoders);
 
   // Decode phase: this model's serialized forwards race the weight
   // stream its previous decode step prefetched on its own channel, and
@@ -1594,25 +1623,6 @@ void BatchedEngine::charge_decode_phase(
 // step, co-scheduled with its decodes in heterogeneous steps).
 // --------------------------------------------------------------------------
 
-int BatchedEngine::run_prefill_chunk(Inflight& r) {
-  Tenant& t = tenants_[static_cast<std::size_t>(r.model)];
-  const int len = static_cast<int>(r.prompt.size());
-  const int begin = r.prefill_pos;
-  const int chunk_idx = begin / t.chunk_tokens;
-  const int end = std::min(begin + t.chunk_tokens, len);
-
-  const std::vector<int> chunk(r.prompt.begin() + begin,
-                               r.prompt.begin() + end);
-  const model::Tensor h = forward_tokens(r, chunk, begin);
-  r.prefill_pos = end;
-  if (r.prefill_done()) {
-    r.tokens = r.prompt;
-    r.pos = len;
-    if (r.new_tokens > 0) r.next = t.session->embedding().greedy_next(h);
-  }
-  return chunk_idx;
-}
-
 void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
                                      double& step_energy, bool& step_prefill,
                                      bool& step_decode) {
@@ -1620,16 +1630,20 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
   auto& pm = stats_.per_model[static_cast<std::size_t>(m)];
 
   // ---- functional work -------------------------------------------------
-  // Every prefilling request of this model advances one chunk; a request
-  // completing its final chunk joins this step's token commit (its
-  // prefill output IS its first forward, mirroring the serial mode and
-  // generate()).
+  // Every prefilling request of this model advances one chunk, all in
+  // one stacked forward; a request completing its final chunk joins this
+  // step's token commit (its prefill output IS its first forward,
+  // mirroring the serial mode and generate()). The decode rows run as a
+  // second stacked forward after it, because such a request decodes in
+  // this very step from the token its chunk output picks.
   struct ChunkRun {
     std::size_t req;  // index into active_
     int chunk;        // chunk position (indexes chunk_costs)
     bool first;       // the request's first chunk (admission point)
   };
   std::vector<ChunkRun> chunk_runs;
+  std::vector<int> chunk_tokens;
+  std::vector<partition::RowSegment> chunk_segments;
   for (std::size_t i = 0; i < active_.size(); ++i) {
     Inflight& r = active_[i];
     if (r.model != m || r.prefill_done()) continue;
@@ -1638,11 +1652,30 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
     // belongs at its own first chunk.
     const bool first = !r.started;
     r.started = true;
-    const int ci = run_prefill_chunk(r);
-    if (r.prefill_done() && paged() && opts_.prefix_sharing) {
-      donate_prefix(r);
+    const int begin = r.prefill_pos;
+    const int end =
+        std::min(begin + t.chunk_tokens, static_cast<int>(r.prompt.size()));
+    chunk_tokens.insert(chunk_tokens.end(), r.prompt.begin() + begin,
+                        r.prompt.begin() + end);
+    chunk_segments.push_back(segment_of(r, end - begin, begin));
+    chunk_runs.push_back({i, begin / t.chunk_tokens, first});
+  }
+  if (!chunk_runs.empty()) {
+    const model::Tensor h = forward_rows(m, chunk_tokens, chunk_segments);
+    int row_end = 0;
+    for (std::size_t j = 0; j < chunk_runs.size(); ++j) {
+      Inflight& r = active_[chunk_runs[j].req];
+      row_end += chunk_segments[j].rows;
+      r.prefill_pos += chunk_segments[j].rows;
+      if (!r.prefill_done()) continue;
+      r.tokens = r.prompt;
+      r.pos = static_cast<int>(r.prompt.size());
+      if (r.new_tokens > 0) {
+        r.next = t.session->embedding().greedy_next(
+            h.slice_rows(row_end - 1, row_end));
+      }
+      if (paged() && opts_.prefix_sharing) donate_prefix(r);
     }
-    chunk_runs.push_back({i, ci, first});
   }
 
   std::vector<std::size_t> decode_runs;  // ran a decode forward this step
@@ -1664,11 +1697,9 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
       finishers.push_back(i);
       continue;
     }
-    r.next =
-        t.session->embedding().greedy_next(forward_tokens(r, {r.next}, r.pos));
-    ++r.pos;
     decode_runs.push_back(i);
   }
+  decode_rows(m, decode_runs);
 
   // ---- step cost through the multi-consumer pipeline -------------------
   Cycles prefill_compute = 0;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -856,17 +857,21 @@ class BatchedEngine {
   /// sched_chip; everything else stays on chip 0).
   void charge(Inflight& r, Cycles cycles, double energy_mj, sim::Category cat,
               const char* label, Cycles begin, int chip = 0);
-  /// Embed `toks` and run them through every layer of the request's
-  /// model against the request's KV set, `pos_offset` being the absolute
-  /// position of the first row — the one functional forward path shared
-  /// by prefills (whole prompts and chunks) and decode steps.
-  [[nodiscard]] model::Tensor forward_tokens(const Inflight& r,
-                                             const std::vector<int>& toks,
-                                             int pos_offset);
-  /// Run one prompt chunk functionally (embeds, all layers, KV append);
-  /// returns the chunk index it advanced through and sets `next` when
-  /// the prompt completes.
-  int run_prefill_chunk(Inflight& r);
+  /// Embed `tokens` and run them through every layer of model `m` as
+  /// one stacked forward cut into `segments` (one per request, over the
+  /// request's own KV set): every weight shard is read once per layer
+  /// for the whole stack. The one functional forward path shared by
+  /// prefills (whole prompts and chunks) and decode steps.
+  [[nodiscard]] model::Tensor forward_rows(
+      ModelId m, const std::vector<int>& tokens,
+      std::span<const partition::RowSegment> segments) const;
+  /// `rows` rows of `r` at absolute position `pos_offset`, over r's KV set.
+  [[nodiscard]] partition::RowSegment segment_of(const Inflight& r, int rows,
+                                                 int pos_offset);
+  /// One stacked decode forward of model `m` for the requests at
+  /// `decoders` (indices into active_): each feeds its pending `next`
+  /// token, then takes its greedy successor and advances `pos`.
+  void decode_rows(ModelId m, const std::vector<std::size_t>& decoders);
 
   [[nodiscard]] const Tenant& tenant(ModelId m) const;
 

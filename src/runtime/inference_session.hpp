@@ -2,6 +2,7 @@
 #define DISTMCU_RUNTIME_INFERENCE_SESSION_HPP
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "energy/energy_model.hpp"
@@ -127,15 +128,25 @@ class InferenceSession {
                           static_cast<int>(sys_.precision.kv_bytes) * kBitsPerByte);
   }
 
-  /// Precision-dispatched block execution: int8 deployments route
-  /// through the quantized block, everything else through the float
-  /// block. All serving-path forwards (engine, generate, encode) go
-  /// through here so precision cannot be bypassed per call site.
+  /// Precision-dispatched block execution over a stack of requests
+  /// (see partition::DistributedBlock::forward): int8 deployments route
+  /// through the quantized block, which runs the segments one at a
+  /// time, everything else through the float block, which stacks them.
+  /// All serving-path forwards (engine, generate, encode) go through
+  /// here so precision cannot be bypassed per call site.
+  [[nodiscard]] model::Tensor forward(
+      const model::Tensor& x, int layer,
+      std::span<const partition::RowSegment> segments) const {
+    return qblock_ != nullptr ? qblock_->forward(x, layer, segments)
+                              : block_->forward(x, layer, segments);
+  }
+
+  /// One request: the one-segment case of the stacked forward above.
   [[nodiscard]] model::Tensor forward(
       const model::Tensor& x, int layer,
       std::vector<std::vector<model::KvCache>>* chip_caches, int pos_offset) const {
-    return qblock_ != nullptr ? qblock_->forward(x, layer, chip_caches, pos_offset)
-                              : block_->forward(x, layer, chip_caches, pos_offset);
+    const partition::RowSegment whole{x.rows(), chip_caches, pos_offset};
+    return forward(x, layer, {&whole, 1});
   }
 
   /// Cache layout is precision-independent (the quantized block stores

@@ -3,6 +3,7 @@
 // paper's super-linear speedups hinge on (DESIGN.md §1).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "chip/chip_config.hpp"
@@ -144,6 +145,11 @@ struct ResidencyCase {
   Mode mode;
   Residency expected;
 };
+
+// Without a printer gtest dumps the raw struct bytes, label pointer
+// included, so the listed test names change with the load address on
+// every run. Printing the label keeps them stable.
+void PrintTo(const ResidencyCase& tc, std::ostream* os) { *os << tc.label; }
 
 class ResidencyTest : public ::testing::TestWithParam<ResidencyCase> {};
 

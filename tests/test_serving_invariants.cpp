@@ -329,7 +329,14 @@ TEST(ServingInvariants, RandomizedScenariosHoldConservation) {
 TEST(ServingInvariants, RandomizedTokenStreamsMatchDedicatedGenerate) {
   // Functional spot-check on the cheap deployments: every accepted
   // request's stream equals a dedicated generate call, whatever the
-  // chunking and arrival pattern.
+  // chunking and arrival pattern. The engine stacks a step's rows into
+  // one forward per tenant, so the sweep must also prove it stacked:
+  // some step decoded several rows, some step ran several chunks, and
+  // some request decoded in the step of its last chunk (from the token
+  // that chunk's output picked).
+  bool stacked_decode = false;
+  bool stacked_chunks = false;
+  bool chunk_then_decode = false;
   for (std::uint64_t seed = 1000; seed < 1024; ++seed) {
     Scenario sc = make_scenario(seed);
     const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
@@ -342,7 +349,35 @@ TEST(ServingInvariants, RandomizedTokenStreamsMatchDedicatedGenerate) {
       EXPECT_EQ(result_for(results, *job.id).gen.tokens, solo.tokens)
           << "seed " << seed;
     }
+
+    // A request generating N >= 1 tokens runs N - 1 decode rows (its
+    // final token leaves without another forward); more rows than decode
+    // steps means some step stacked several.
+    const ServingStats& stats = engine.stats();
+    int decode_rows = stats.total_generated;
+    for (const auto& r : results) decode_rows -= r.gen.generated > 0 ? 1 : 0;
+    stacked_decode = stacked_decode || stats.decode_steps < decode_rows;
+
+    const int chunk = engine.chunk_tokens();
+    if (chunk == 0) continue;
+    int chunks = 0;
+    for (const auto& job : sc.jobs) {
+      if (!job.id.has_value()) continue;
+      const int c = (static_cast<int>(job.prompt.size()) + chunk - 1) / chunk;
+      chunks += c;
+      // One chunk per step from admission, then one token per step; the
+      // first token commits (and the second decodes) in the step of the
+      // last chunk.
+      const auto& r = result_for(results, *job.id);
+      chunk_then_decode =
+          chunk_then_decode || (job.new_tokens >= 2 &&
+                                r.finished_step - r.admitted_step == c + job.new_tokens - 2);
+    }
+    stacked_chunks = stacked_chunks || stats.prefill_steps < chunks;
   }
+  EXPECT_TRUE(stacked_decode) << "no step decoded two rows of one tenant";
+  EXPECT_TRUE(stacked_chunks) << "no step ran two chunk segments";
+  EXPECT_TRUE(chunk_then_decode) << "no request decoded in its last chunk's step";
 }
 
 TEST(ServingInvariants, ScenariosAreDeterministic) {
