@@ -56,6 +56,79 @@ static void BM_GemmInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmInt8)->Arg(64)->Arg(128)->Arg(256);
 
+// The per-chip GEMMs of one fp16 TinyLlama-42M block on 4 chips (chip 0's
+// shards): Wq/Wk/Wv [E, P*H/4], WO [P*H/4, E], W1/W3 [E, F/4] and
+// W2 [F/4, E], one call each per iteration for M stacked rows. M = 1 is a
+// single decode row; M > 1 is what a serving step stacks per tenant.
+// items/s counts rows.
+namespace {
+struct ShardShape {
+  int k, n;
+};
+std::vector<ShardShape> tinyllama_shard_shapes(bool int8_only) {
+  constexpr int kChips = 4;
+  const auto cfg = model::TransformerConfig::tiny_llama_42m();
+  const int e = cfg.embed_dim, pw = cfg.proj_dim() / kChips, fw = cfg.ffn_dim / kChips;
+  // The int8 path quantizes WO and the FFN; Q/K/V stay float.
+  if (int8_only) return {{pw, e}, {e, fw}, {fw, e}};
+  return {{e, pw}, {e, pw}, {e, pw}, {pw, e}, {e, fw}, {e, fw}, {fw, e}};
+}
+}  // namespace
+
+static void BM_GemmShard(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  struct Operands {
+    ShardShape s;
+    std::vector<float> a, b, c;
+  };
+  std::vector<Operands> ops;
+  std::uint64_t seed = 20;
+  for (const auto s : tinyllama_shard_shapes(false)) {
+    ops.push_back({s, random_vec(static_cast<std::size_t>(m) * s.k, seed),
+                   random_vec(static_cast<std::size_t>(s.k) * s.n, seed + 1),
+                   std::vector<float>(static_cast<std::size_t>(m) * s.n)});
+    seed += 2;
+  }
+  for (auto _ : state) {
+    for (auto& op : ops) {
+      kernels::gemm(op.a, op.b, op.c, m, op.s.n, op.s.k);
+      benchmark::DoNotOptimize(op.c.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+}
+BENCHMARK(BM_GemmShard)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMicrosecond);
+
+static void BM_GemmShardInt8(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  struct Operands {
+    ShardShape s;
+    std::vector<std::int8_t> a, b;
+    std::vector<std::int32_t> c;
+  };
+  const auto to_i8 = [](const std::vector<float>& v) {
+    std::vector<std::int8_t> q(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) q[i] = static_cast<std::int8_t>(v[i] * 127.0f);
+    return q;
+  };
+  std::vector<Operands> ops;
+  std::uint64_t seed = 40;
+  for (const auto s : tinyllama_shard_shapes(true)) {
+    ops.push_back({s, to_i8(random_vec(static_cast<std::size_t>(m) * s.k, seed)),
+                   to_i8(random_vec(static_cast<std::size_t>(s.k) * s.n, seed + 1)),
+                   std::vector<std::int32_t>(static_cast<std::size_t>(m) * s.n)});
+    seed += 2;
+  }
+  for (auto _ : state) {
+    for (auto& op : ops) {
+      quant::gemm_i8_i32(op.a, op.b, op.c, m, op.s.n, op.s.k);
+      benchmark::DoNotOptimize(op.c.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+}
+BENCHMARK(BM_GemmShardInt8)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMicrosecond);
+
 static void BM_Softmax(benchmark::State& state) {
   const int rows = 128, cols = static_cast<int>(state.range(0));
   auto x = random_vec(static_cast<std::size_t>(rows * cols), 3);

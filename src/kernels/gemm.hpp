@@ -9,6 +9,17 @@ namespace distmcu::kernels {
 /// All tensors row-major. This is the functional reference used for
 /// numeric validation; performance on the simulated platform comes from
 /// chip::KernelTiming, not from this host implementation.
+///
+/// Exactness contract (what keeps token streams bit-identical across chip
+/// counts, row stacking and builds): every C element starts at its bias
+/// (or +0) and adds its products A[i,p] * B[p,j] one at a time in
+/// ascending p, rounding once per multiply and once per add — no fused
+/// multiply-add and no reassociation. A zero A[i,p] (either sign) adds
+/// nothing, so -0.0 results survive and inf/NaN in the B row it would
+/// multiply never reach C. The kernel blocks rows and unrolls p by four
+/// for speed and is compiled with target_clones("avx2", "default") on
+/// x86-64; AVX2 has no FMA, and tools/lint_domain.py rejects options that
+/// would enable one. C must not overlap A or B (checked).
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
           int m, int n, int k, std::span<const float> bias = {});
 

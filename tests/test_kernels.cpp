@@ -3,13 +3,19 @@
 // isometry, attention limits).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/attention.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/ops.hpp"
 #include "kernels/rope.hpp"
+#include "quant/int_kernels.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -76,6 +82,162 @@ TEST(Gemm, GemvEqualsSingleRowGemm) {
 TEST(Gemm, SizeMismatchThrows) {
   std::vector<float> a(4), b(4), c(3);
   EXPECT_THROW(k::gemm(a, b, c, 2, 2, 2), Error);
+}
+
+TEST(Gemm, AliasedOutputThrows) {
+  // The blocked kernel writes a whole block of C rows before it reads the
+  // next block's A rows, so C may share storage with neither input.
+  std::vector<float> buf(16, 1.0f);
+  const std::vector<float> other(4, 1.0f);
+  const std::span<float> all(buf);
+  EXPECT_THROW(k::gemm(all.subspan(0, 4), other, all.subspan(2, 4), 2, 2, 2), Error);
+  EXPECT_THROW(k::gemm(other, all.subspan(4, 4), all.subspan(4, 4), 2, 2, 2), Error);
+  EXPECT_THROW(k::gemm(other, all.subspan(6, 4), all.subspan(3, 4), 2, 2, 2), Error);
+  // Adjacent but disjoint storage is fine.
+  EXPECT_NO_THROW(k::gemm(all.subspan(0, 4), all.subspan(4, 4), all.subspan(8, 4), 2, 2, 2));
+}
+
+namespace {
+// The plain one-p-at-a-time loop: every C element adds its products in
+// ascending p and skips a zero A value. The blocked kernels::gemm must
+// reproduce it bit for bit.
+void gemm_reference(const std::vector<float>& a, const std::vector<float>& b,
+                    std::vector<float>& c, int m, int n, int kk,
+                    const std::vector<float>& bias) {
+  for (int i = 0; i < m; ++i) {
+    float* crow = c.data() + static_cast<std::size_t>(i) * n;
+    for (int j = 0; j < n; ++j) crow[j] = bias.empty() ? 0.0f : bias[static_cast<std::size_t>(j)];
+    const float* arow = a.data() + static_cast<std::size_t>(i) * kk;
+    for (int p = 0; p < kk; ++p) {
+      const float av = arow[p];
+      if (av == 0.0f) continue;
+      const float* brow = b.data() + static_cast<std::size_t>(p) * n;
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+int draw(util::Rng& rng, int lo, int hi) {
+  return lo + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
+// A [m, k] of integers or floats in [-hi, hi] with isolated exact zeros,
+// aligned and unaligned runs of four zeros, and (for float) -0.0f.
+template <typename T>
+std::vector<T> sparse_operand(util::Rng& rng, int m, int kk, float hi) {
+  std::vector<T> a(static_cast<std::size_t>(m) * kk);
+  for (auto& v : a) v = static_cast<T>(rng.uniform(-hi, hi));
+  for (auto& v : a) {
+    const auto roll = rng.next_below(10);
+    if (roll == 0) v = T{0};
+    if constexpr (std::is_floating_point_v<T>) {
+      if (roll == 1) v = -0.0f;
+    }
+  }
+  const int runs = draw(rng, 0, m);
+  for (int r = 0; r < runs; ++r) {
+    const int i = draw(rng, 0, m - 1), p = draw(rng, 0, kk - 1);
+    const int start = rng.next_below(2) == 0 ? p - p % 4 : p;
+    for (int q = start; q < std::min(kk, start + 4); ++q) a[static_cast<std::size_t>(i) * kk + q] = T{0};
+  }
+  return a;
+}
+}  // namespace
+
+TEST(GemmDifferential, BlockedKernelMatchesScalarLoopBitForBit) {
+  util::Rng rng(1313);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  int odd_n = 0, ragged_k = 0, ragged_m = 0, poisoned = 0, neg_zero_bias = 0;
+  int full_groups = 0;  // aligned groups of four nonzero A values
+  for (int trial = 0; trial < 400; ++trial) {
+    const int m = draw(rng, 1, 19), n = draw(rng, 1, 70), kk = draw(rng, 1, 37);
+    auto a = sparse_operand<float>(rng, m, kk, 1.0f);
+    std::vector<float> b(static_cast<std::size_t>(kk) * n);
+    for (auto& v : b) v = rng.uniform(-1.0f, 1.0f);
+    // A column of zeros whose B row holds inf/NaN: the zero skip must
+    // keep 0 * inf out of every C element.
+    if (rng.next_below(3) == 0) {
+      const int p = draw(rng, 0, kk - 1);
+      for (int i = 0; i < m; ++i) a[static_cast<std::size_t>(i) * kk + p] = 0.0f;
+      for (int j = 0; j < n; ++j) {
+        b[static_cast<std::size_t>(p) * n + j] = j % 3 == 0 ? kNan : (j % 3 == 1 ? kInf : -kInf);
+      }
+      ++poisoned;
+    }
+    std::vector<float> bias;
+    if (rng.next_below(2) == 0) {
+      bias.resize(static_cast<std::size_t>(n));
+      for (auto& v : bias) v = rng.next_below(3) == 0 ? -0.0f : rng.uniform(-1.0f, 1.0f);
+      ++neg_zero_bias;
+    }
+    for (int i = 0; i < m; ++i) {
+      for (int p = 0; p + 4 <= kk; p += 4) {
+        const float* g = a.data() + static_cast<std::size_t>(i) * kk + p;
+        full_groups += g[0] != 0.0f && g[1] != 0.0f && g[2] != 0.0f && g[3] != 0.0f ? 1 : 0;
+      }
+    }
+    odd_n += n % 2;
+    ragged_k += kk % 4 != 0 ? 1 : 0;
+    ragged_m += m % 4 != 0 ? 1 : 0;
+
+    std::vector<float> want(static_cast<std::size_t>(m) * n, 7.0f);
+    std::vector<float> got(want.size(), -7.0f);
+    gemm_reference(a, b, want, m, n, kk, bias);
+    k::gemm(a, b, got, m, n, kk, bias);
+    ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0)
+        << "m=" << m << " n=" << n << " k=" << kk << " bias=" << !bias.empty();
+  }
+  // The draws must have exercised every remainder and every special value.
+  EXPECT_GT(full_groups, 1000);
+  EXPECT_GT(odd_n, 50);
+  EXPECT_GT(ragged_k, 50);
+  EXPECT_GT(ragged_m, 50);
+  EXPECT_GT(poisoned, 50);
+  EXPECT_GT(neg_zero_bias, 50);
+}
+
+namespace {
+template <typename Int, typename Acc, typename Kernel>
+void check_int_gemm_against_naive(Kernel kernel, float hi, std::uint64_t seed) {
+  util::Rng rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int m = draw(rng, 1, 19), n = draw(rng, 1, 70), kk = draw(rng, 1, 37);
+    const auto a = sparse_operand<Int>(rng, m, kk, hi);
+    std::vector<Int> b(static_cast<std::size_t>(kk) * n);
+    for (auto& v : b) v = static_cast<Int>(rng.uniform(-hi, hi));
+    std::vector<Acc> want(static_cast<std::size_t>(m) * n, Acc{0});
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < n; ++j) {
+        Acc sum = 0;
+        for (int p = 0; p < kk; ++p) {
+          sum += static_cast<Acc>(a[static_cast<std::size_t>(i) * kk + p]) *
+                 static_cast<Acc>(b[static_cast<std::size_t>(p) * n + j]);
+        }
+        want[static_cast<std::size_t>(i) * n + j] = sum;
+      }
+    }
+    std::vector<Acc> got(want.size(), Acc{-1});
+    kernel(a, b, got, m, n, kk);
+    ASSERT_EQ(want, got) << "m=" << m << " n=" << n << " k=" << kk;
+  }
+}
+}  // namespace
+
+TEST(GemmDifferential, Int8KernelMatchesNaiveLoop) {
+  check_int_gemm_against_naive<std::int8_t, std::int32_t>(
+      [](const auto& a, const auto& b, auto& c, int m, int n, int kk) {
+        quant::gemm_i8_i32(a, b, c, m, n, kk);
+      },
+      128.0f, 88);
+}
+
+TEST(GemmDifferential, Int16KernelMatchesNaiveLoop) {
+  check_int_gemm_against_naive<std::int16_t, std::int64_t>(
+      [](const auto& a, const auto& b, auto& c, int m, int n, int kk) {
+        quant::gemm_i16_i64(a, b, c, m, n, kk);
+      },
+      32768.0f, 1616);
 }
 
 TEST(Softmax, RowsSumToOne) {

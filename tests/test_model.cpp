@@ -170,6 +170,32 @@ TEST(KvCacheTest, AppendAndViews) {
   EXPECT_FLOAT_EQ(ks.at(1, 0), 3.0f);
 }
 
+TEST(KvCacheTest, HeadSlicesCopyFilledRowsOnly) {
+  KvCache cache(5, 6);
+  EXPECT_THROW((void)cache.k_slice(0, 2), Error);
+  for (int pos = 0; pos < 3; ++pos) {
+    std::vector<float> k(6), v(6);
+    for (int c = 0; c < 6; ++c) {
+      k[static_cast<std::size_t>(c)] = static_cast<float>(10 * pos + c);
+      v[static_cast<std::size_t>(c)] = -static_cast<float>(10 * pos + c);
+    }
+    cache.append(k, v);
+  }
+  const Tensor ks = cache.k_slice(1, 4);
+  const Tensor vs = cache.v_slice(4, 6);
+  ASSERT_EQ(ks.rows(), 3);
+  ASSERT_EQ(ks.cols(), 3);
+  ASSERT_EQ(vs.rows(), 3);
+  ASSERT_EQ(vs.cols(), 2);
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) EXPECT_EQ(ks.at(r, c), static_cast<float>(10 * r + 1 + c));
+    for (int c = 0; c < 2; ++c) EXPECT_EQ(vs.at(r, c), -static_cast<float>(10 * r + 4 + c));
+  }
+  EXPECT_THROW((void)cache.k_slice(2, 2), Error);
+  EXPECT_THROW((void)cache.v_slice(-1, 2), Error);
+  EXPECT_THROW((void)cache.v_slice(4, 7), Error);
+}
+
 TEST(KvCacheTest, CapacityEnforced) {
   KvCache cache(1, 2);
   const std::vector<float> r(2, 0.0f);

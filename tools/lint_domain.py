@@ -30,6 +30,14 @@ Rules (suppress a single line with a trailing ``// lint-domain: allow``):
   / ``set_model(kNoModel)`` in the same source file: a file that opens
   more request/model scopes than it closes leaks the tag onto unrelated
   spans. Checked as a per-file begin/end balance.
+* ``no-fp-contraction`` — ``fma``, ``avx512``, ``fast-math`` or
+  ``fp-contract`` inside a ``target(`` / ``target_clones(`` /
+  ``optimize(`` attribute or a ``#pragma GCC`` line. Each lets the
+  compiler fuse ``a*b + c`` into one rounding, so the host kernels would
+  stop reproducing the ascending-p, one-rounding-per-op sums that keep
+  token streams bit-exact across chip counts (see
+  ``src/kernels/gemm.hpp``). ``target_clones("avx2", "default")`` is the
+  sanctioned way to widen a kernel.
 
 With ``--docs <dir>`` two documentation rules run as well:
 
@@ -88,15 +96,22 @@ RAW_PRECISION = re.compile(
 # The precision vocabulary itself must spell the widths once.
 PRECISION_HOME = os.path.join("runtime", "precision.hpp")
 
+# Where code-generation options are spelled: attribute arguments (their
+# balanced parentheses may span lines) and `#pragma GCC` lines.
+CODEGEN_CONTEXT = re.compile(
+    r"\b(?:target_clones|target|optimize)\s*\(|#\s*pragma\s+GCC\b")
+FP_CONTRACTING = re.compile(r"fma|avx512|fast-math|fp-contract", re.I)
+
 SET_REQ_DEF = re.compile(r"^\s*(?:void\s+)?set_request\s*\(\s*int\b")
 SET_MODEL_DEF = re.compile(r"^\s*(?:void\s+)?set_model\s*\(\s*int\b")
 SET_REQ = re.compile(r"\bset_request\s*\(([^)]*)\)")
 SET_MODEL = re.compile(r"\bset_model\s*\(([^)]*)\)")
 
 
-def strip_noise(line, in_block_comment):
+def strip_noise(line, in_block_comment, keep_strings=False):
     """Drop string/char literals, // comments, and /* */ comment spans so
-    the rules only see code. Returns (code, still_in_block_comment)."""
+    the rules only see code; ``keep_strings`` keeps the literals whole.
+    Returns (code, still_in_block_comment)."""
     out = []
     i = 0
     n = len(line)
@@ -117,6 +132,7 @@ def strip_noise(line, in_block_comment):
             continue
         if c in "\"'":
             quote = c
+            start = i
             i += 1
             while i < n:
                 if line[i] == "\\":
@@ -126,16 +142,51 @@ def strip_noise(line, in_block_comment):
                     i += 1
                     break
                 i += 1
-            out.append(quote + quote)  # keep an empty literal placeholder
+            # keep the literal, or an empty placeholder for it
+            out.append(line[start:i] if keep_strings else quote + quote)
             continue
         out.append(c)
         i += 1
     return "".join(out), in_block_comment
 
 
+def lint_fp_contraction(path, raw_lines, findings):
+    """no-fp-contraction (see the module docstring)."""
+    code_lines = []
+    in_block = False
+    for raw in raw_lines:
+        code, in_block = strip_noise(raw, in_block, keep_strings=True)
+        code_lines.append(code)
+    text = "\n".join(code_lines)
+    end = 0
+    for m in CODEGEN_CONTEXT.finditer(text):
+        if m.start() < end:  # inside the previous context (optimize( in a pragma)
+            continue
+        if m.group(0).startswith("#"):
+            end = text.find("\n", m.end())
+            end = len(text) if end < 0 else end
+        else:
+            depth, end = 1, m.end()
+            while end < len(text) and depth:
+                depth += {"(": 1, ")": -1}.get(text[end], 0)
+                end += 1
+        flag = FP_CONTRACTING.search(text, m.end(), end)
+        if not flag:
+            continue
+        lineno = text.count("\n", 0, flag.start()) + 1
+        if SUPPRESS in raw_lines[lineno - 1]:
+            continue
+        findings.append(
+            f"{path}:{lineno}: [no-fp-contraction] {flag.group(0)!r} in a "
+            f"code-generation attribute or pragma lets the compiler fuse "
+            f"a*b+c and breaks bit-exact token streams; use "
+            f"target_clones(\"avx2\", \"default\")")
+
+
 def lint_file(path, findings):
     with open(path, encoding="utf-8") as f:
         raw_lines = f.read().splitlines()
+    lint_fp_contraction(path, raw_lines, findings)
 
     req_open = req_close = 0
     model_open = model_close = 0
@@ -324,7 +375,7 @@ def main():
         return 1
     rules = ("no-raw-assert, unsaturated-deadline, "
              "unsaturated-bytes-roundup, raw-precision-int, "
-             "tracer-pairing")
+             "tracer-pairing, no-fp-contraction")
     if args.docs:
         rules += ", docs-coverage, docs-snippet-sync"
     print(f"domain lint OK: {len(files)} files clean ({rules})")
