@@ -17,6 +17,7 @@
 #include "partition/sharder.hpp"
 #include "quant/int_kernels.hpp"
 #include "runtime/timed_simulation.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 using namespace distmcu;
@@ -171,7 +172,8 @@ BENCHMARK(BM_TimedBlockSimulation)->Arg(1)->Arg(8)->Arg(64);
 // per-request pass a serving step used to run M times. Four blocks, as
 // in the streamed serving deployments, so one pass reads ~48 MB of fp32
 // weight shards — more than the host keeps cached between passes, the
-// regime where stacking pays. items/s counts decoded rows.
+// regime where stacking pays. items/s counts decoded rows. The chips of
+// each phase run as concurrent host tasks, so the time is wall time.
 static void BM_BlockForwardStacked(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   constexpr int kChips = 4;
@@ -216,6 +218,22 @@ static void BM_BlockForwardStacked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * m);
 }
-BENCHMARK(BM_BlockForwardStacked)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BlockForwardStacked)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// One fork-join of N empty chip tasks on the host worker pool: the fixed
+// cost partition::kConcurrentChipMacs must amortize before a block phase
+// is worth running its chips concurrently.
+static void BM_ChipDispatch(benchmark::State& state) {
+  const int chips = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    util::parallel_for(chips, [](int c) { benchmark::DoNotOptimize(c); });
+  }
+}
+BENCHMARK(BM_ChipDispatch)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -33,7 +33,7 @@ constexpr int kDepthBlock = 4;
 // products chained in p order; any other row falls back to one pass per
 // nonzero A value. Either way every C element sees the same multiplies and
 // adds in the same order as a one-p-at-a-time loop (see gemm.hpp).
-#if defined(__x86_64__)
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)  // see gemm.hpp
 __attribute__((target_clones("avx2", "default")))
 #endif
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,

@@ -19,7 +19,10 @@ namespace distmcu::kernels {
 /// multiply never reach C. The kernel blocks rows and unrolls p by four
 /// for speed and is compiled with target_clones("avx2", "default") on
 /// x86-64; AVX2 has no FMA, and tools/lint_domain.py rejects options that
-/// would enable one. C must not overlap A or B (checked).
+/// would enable one. ThreadSanitizer builds keep only the default clone:
+/// the clone resolver runs while the program is still being loaded,
+/// before the sanitizer's runtime has started, and an instrumented
+/// resolver crashes there. C must not overlap A or B (checked).
 void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
           int m, int n, int k, std::span<const float> bias = {});
 

@@ -9,6 +9,7 @@
 #include "kernels/rope.hpp"
 #include "noc/collectives.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace distmcu::partition {
 
@@ -28,26 +29,63 @@ model::Tensor head_rows(const model::Tensor& t, int r0, int rows, int c0, int co
 
 }  // namespace
 
-void check_row_segments(std::span<const RowSegment> segments, int total_rows) {
+void check_row_segments(std::span<const RowSegment> segments, int total_rows,
+                        const PartitionPlan& plan, int layer) {
   DISTMCU_CHECK(!segments.empty(), "row segments: need at least one segment");
   int rows = 0;
   for (std::size_t i = 0; i < segments.size(); ++i) {
-    DISTMCU_CHECK(segments[i].rows > 0, "row segments: every segment needs rows");
-    rows += segments[i].rows;
+    const RowSegment& seg = segments[i];
+    DISTMCU_CHECK(seg.rows > 0, "row segments: every segment needs rows");
+    rows += seg.rows;
     for (std::size_t j = 0; j < i; ++j) {
-      DISTMCU_CHECK(segments[i].chip_caches == nullptr ||
-                        segments[i].chip_caches != segments[j].chip_caches,
+      DISTMCU_CHECK(seg.chip_caches == nullptr || seg.chip_caches != segments[j].chip_caches,
                     "row segments: two segments share KV caches");
+    }
+    if (seg.chip_caches == nullptr) continue;
+    DISTMCU_CHECK(seg.chip_caches->size() == static_cast<std::size_t>(plan.num_chips()),
+                  "row segments: KV caches are not one per chip");
+    for (int c = 0; c < plan.num_chips(); ++c) {
+      const auto& layers = (*seg.chip_caches)[static_cast<std::size_t>(c)];
+      DISTMCU_CHECK(layer >= 0 && static_cast<std::size_t>(layer) < layers.size(),
+                    "row segments: no KV cache for this layer");
+      const model::KvCache& cache = layers[static_cast<std::size_t>(layer)];
+      DISTMCU_CHECK(cache.dim() == plan.proj_width(c),
+                    "row segments: KV cache width != the chip's head slice");
+      DISTMCU_CHECK(cache.length() <= cache.capacity() - seg.rows,
+                    "row segments: KV cache has no room for the segment's rows");
     }
   }
   DISTMCU_CHECK(rows == total_rows, "row segments: rows do not cover the input");
+}
+
+ChipPhaseWeights chip_phase_weights(const model::TransformerConfig& cfg,
+                                    const PartitionPlan& plan) {
+  const std::int64_t e = cfg.embed_dim;
+  const std::int64_t pw = plan.proj_width(0);
+  const std::int64_t fw = plan.slice(0).f_width();
+  const std::int64_t ffn_mats = cfg.ffn == model::FfnKind::swiglu ? 3 : 2;
+  return {.qkv = 3 * e * pw, .wo = pw * e, .ffn = ffn_mats * e * fw};
+}
+
+void for_each_chip(int chips, std::int64_t chip_macs,
+                   const std::function<void(int)>& chip_work) {
+  if (chip_macs >= kConcurrentChipMacs) {
+    util::parallel_for(chips, chip_work);
+  } else {
+    for (int c = 0; c < chips; ++c) chip_work(c);
+  }
 }
 
 DistributedBlock::DistributedBlock(const model::TransformerConfig& cfg,
                                    const model::Weights& weights,
                                    const ShardedWeights& shards, const PartitionPlan& plan,
                                    const noc::Topology& topo)
-    : cfg_(cfg), weights_(weights), shards_(shards), plan_(plan), topo_(topo) {
+    : cfg_(cfg),
+      weights_(weights),
+      shards_(shards),
+      plan_(plan),
+      topo_(topo),
+      phase_weights_(chip_phase_weights(cfg, plan)) {
   DISTMCU_CHECK(topo.num_chips() == plan.num_chips(),
               "DistributedBlock: topology/plan chip count mismatch");
   DISTMCU_CHECK(shards.num_chips() == plan.num_chips(),
@@ -212,9 +250,10 @@ model::Tensor DistributedBlock::forward(const model::Tensor& x, int layer,
                                         std::span<const RowSegment> segments,
                                         CommRecord* comm) const {
   DISTMCU_CHECK(x.cols() == cfg_.embed_dim, "DistributedBlock::forward: input width != E");
-  check_row_segments(segments, x.rows());
+  check_row_segments(segments, x.rows(), plan_, layer);
   const model::LayerWeights& lw = weights_.layer(layer);
   const int n = plan_.num_chips();
+  const std::int64_t rows = x.rows();
 
   // --- MHSA phase -------------------------------------------------------
   // Pre-norm models normalize the broadcast input locally on every chip
@@ -223,11 +262,10 @@ model::Tensor DistributedBlock::forward(const model::Tensor& x, int layer,
   model::Tensor attn_in = cfg_.pre_norm
                               ? root_norm(x, lw.norm1_gamma, lw.norm1_beta)
                               : x;
-  std::vector<model::Tensor> partials;
-  partials.reserve(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) {
-    partials.push_back(mhsa_partial(attn_in, c, layer, segments));
-  }
+  std::vector<model::Tensor> partials(static_cast<std::size_t>(n));
+  for_each_chip(n, rows * (phase_weights_.qkv + phase_weights_.wo), [&](int c) {
+    partials[static_cast<std::size_t>(c)] = mhsa_partial(attn_in, c, layer, segments);
+  });
   const model::Tensor a = reduce_with_skip(partials, x, comm);
 
   // Root normalizes (post-norm) and broadcasts; pre-norm broadcasts the
@@ -253,11 +291,10 @@ model::Tensor DistributedBlock::forward(const model::Tensor& x, int layer,
   // --- FFN phase ---------------------------------------------------------
   const model::Tensor ffn_in =
       cfg_.pre_norm ? root_norm(h, lw.norm2_gamma, lw.norm2_beta) : h;
-  std::vector<model::Tensor> partials2;
-  partials2.reserve(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) {
-    partials2.push_back(ffn_partial(ffn_in, c, layer));
-  }
+  std::vector<model::Tensor> partials2(static_cast<std::size_t>(n));
+  for_each_chip(n, rows * phase_weights_.ffn, [&](int c) {
+    partials2[static_cast<std::size_t>(c)] = ffn_partial(ffn_in, c, layer);
+  });
   model::Tensor out = reduce_with_skip(partials2, h, comm);
   if (!cfg_.pre_norm) out = root_norm(out, lw.norm2_gamma, lw.norm2_beta);
   record_broadcast(out.size(), comm);

@@ -2,6 +2,7 @@
 #define DISTMCU_PARTITION_DISTRIBUTED_BLOCK_HPP
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -42,7 +43,37 @@ struct RowSegment {
 /// Throws unless `segments` is non-empty, every segment has rows, the
 /// rows sum to `total_rows`, and no two segments share KV caches (a
 /// shared cache would let one segment see another's appended rows).
-void check_row_segments(std::span<const RowSegment> segments, int total_rows);
+/// Every segment's caches must also hold one `layer` cache per chip of
+/// `plan`, each as wide as that chip's head slice and with room for the
+/// segment's rows — checked before any chip appends, so a forward that
+/// throws leaves every cache as it was.
+void check_row_segments(std::span<const RowSegment> segments, int total_rows,
+                        const PartitionPlan& plan, int layer);
+
+/// One chip's matmul weight elements in each phase of a block, for the
+/// widest chip (chip 0): the Q/K/V projection columns, the WO rows, and
+/// the FFN's W1 (and W3 under SwiGLU) columns plus W2 rows. Times the
+/// stacked rows, these are the chip's multiply-accumulates in a phase.
+struct ChipPhaseWeights {
+  std::int64_t qkv = 0;
+  std::int64_t wo = 0;
+  std::int64_t ffn = 0;
+};
+[[nodiscard]] ChipPhaseWeights chip_phase_weights(const model::TransformerConfig& cfg,
+                                                  const PartitionPlan& plan);
+
+/// Per-chip multiply-accumulates at which a block phase runs its chips
+/// as concurrent host tasks. A fork-join on the worker pool costs a few
+/// microseconds; below this much work per chip it would cost more than
+/// it saves, so the chips run one after another on the calling thread.
+inline constexpr std::int64_t kConcurrentChipMacs = std::int64_t{1} << 17;
+
+/// Run `chip_work(c)` for chips 0..chips-1: on util::parallel_for when
+/// `chip_macs` (one chip's work in this phase) reaches
+/// kConcurrentChipMacs, else in chip order on the calling thread. Each
+/// chip's work must write only that chip's state.
+void for_each_chip(int chips, std::int64_t chip_macs,
+                   const std::function<void(int)>& chip_work);
 
 /// Functional (numerically real) execution of one Transformer block under
 /// the paper's partitioning, following Fig. 3 exactly:
@@ -75,7 +106,10 @@ class DistributedBlock {
   /// read once for the whole stack; RoPE, the KV append and attention
   /// run per segment. Every kernel is row-independent, so each output
   /// row and each segment's caches are bit-identical to running that
-  /// segment alone.
+  /// segment alone. The per-chip work of each phase (projections, KV
+  /// append, attention, the FFN slice) runs one chip per task through
+  /// for_each_chip; the reduces, broadcasts and `comm` accounting stay
+  /// on the calling thread, in chip order.
   [[nodiscard]] model::Tensor forward(const model::Tensor& x, int layer,
                                       std::span<const RowSegment> segments,
                                       CommRecord* comm = nullptr) const;
@@ -126,6 +160,7 @@ class DistributedBlock {
   const ShardedWeights& shards_;
   const PartitionPlan& plan_;
   const noc::Topology& topo_;
+  ChipPhaseWeights phase_weights_;
 };
 
 }  // namespace distmcu::partition

@@ -58,7 +58,7 @@ template <typename Int, typename Acc>
 }
 }  // namespace
 
-#if defined(__x86_64__)
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)  // see kernels/gemm.hpp
 __attribute__((target_clones("avx2", "default")))
 #endif
 void gemm_i8_i32(std::span<const std::int8_t> a, std::span<const std::int8_t> b,
@@ -66,7 +66,7 @@ void gemm_i8_i32(std::span<const std::int8_t> a, std::span<const std::int8_t> b,
   gemm_int<std::int8_t, std::int32_t>(a, b, c, m, n, k);
 }
 
-#if defined(__x86_64__)
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)  // see kernels/gemm.hpp
 __attribute__((target_clones("avx2", "default")))
 #endif
 void gemm_i16_i64(std::span<const std::int16_t> a, std::span<const std::int16_t> b,

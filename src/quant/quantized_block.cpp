@@ -51,7 +51,8 @@ QuantizedBlock::QuantizedBlock(const model::TransformerConfig& cfg,
       shards_(shards),
       plan_(plan),
       topo_(topo),
-      kv_bits_(kv_bits) {
+      kv_bits_(kv_bits),
+      phase_weights_(partition::chip_phase_weights(cfg, plan)) {
   DISTMCU_CHECK(cfg.ffn == model::FfnKind::mlp,
               "QuantizedBlock: only the plain MLP FFN is supported");
   DISTMCU_CHECK(topo.num_chips() == plan.num_chips(),
@@ -235,11 +236,10 @@ void QuantizedBlock::broadcast(model::Tensor& t, partition::CommRecord* comm) co
   t = copies[static_cast<std::size_t>(n - 1)];  // any chip's copy
 }
 
-model::Tensor QuantizedBlock::forward(
+model::Tensor QuantizedBlock::forward_segment(
     const model::Tensor& x, int layer,
     std::vector<std::vector<model::KvCache>>* chip_caches, int pos_offset,
     partition::CommRecord* comm) const {
-  DISTMCU_CHECK(x.cols() == cfg_.embed_dim, "QuantizedBlock::forward: input width != E");
   const model::LayerWeights& lw = weights_.layer(layer);
   const LayerQuant& lq = layers_[static_cast<std::size_t>(layer)];
   const int n = plan_.num_chips();
@@ -251,11 +251,11 @@ model::Tensor QuantizedBlock::forward(
       cfg_.pre_norm ? root_norm(x, lw.norm1_gamma, lw.norm1_beta) : x;
 
   // Float per-head contexts first (chip-count invariant by locality)...
-  std::vector<model::Tensor> contexts;
-  contexts.reserve(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) {
-    contexts.push_back(attn_context(attn_in, c, layer, chip_caches, pos_offset));
-  }
+  std::vector<model::Tensor> contexts(static_cast<std::size_t>(n));
+  partition::for_each_chip(n, std::int64_t{s} * phase_weights_.qkv, [&](int c) {
+    contexts[static_cast<std::size_t>(c)] =
+        attn_context(attn_in, c, layer, chip_caches, pos_offset);
+  });
   // ...then ONE shared dynamic scale over every chip's context (a global
   // absmax — invariant to head grouping), so the per-chip int32 WO
   // partials are commensurable and their tree-sum is exact.
@@ -264,7 +264,7 @@ model::Tensor QuantizedBlock::forward(
   const QuantParams ctx_params = QuantParams::from_absmax(ctx_absmax, kActivationBits);
 
   std::vector<std::vector<std::int32_t>> partials(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) {
+  partition::for_each_chip(n, std::int64_t{s} * phase_weights_.wo, [&](int c) {
     const LayerChipShard& chip = lq.chips[static_cast<std::size_t>(c)];
     const auto ctxq = quantize_i8(contexts[static_cast<std::size_t>(c)].span(),
                                   ctx_params);
@@ -272,7 +272,7 @@ model::Tensor QuantizedBlock::forward(
                                   static_cast<std::size_t>(e));
     gemm_i8_i32(ctxq, chip.wo, acc, s, e, chip.pw);
     partials[static_cast<std::size_t>(c)] = std::move(acc);
-  }
+  });
   const model::Tensor a = reduce_dequant_skip(
       partials, ctx_params.scale * lq.wo_params.scale, s, x, comm);
 
@@ -294,7 +294,7 @@ model::Tensor QuantizedBlock::forward(
   const QuantParams h_params = QuantParams::from_absmax(hidden_bound, kActivationBits);
 
   std::vector<std::vector<std::int32_t>> partials2(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) {
+  partition::for_each_chip(n, std::int64_t{s} * phase_weights_.ffn, [&](int c) {
     const LayerChipShard& chip = lq.chips[static_cast<std::size_t>(c)];
     const int fw = chip.fw;
     std::vector<std::int32_t> acc1(static_cast<std::size_t>(s) *
@@ -311,7 +311,7 @@ model::Tensor QuantizedBlock::forward(
                                    static_cast<std::size_t>(e));
     gemm_i8_i32(hq, chip.w2, acc2, s, e, fw);
     partials2[static_cast<std::size_t>(c)] = std::move(acc2);
-  }
+  });
   model::Tensor out = reduce_dequant_skip(
       partials2, h_params.scale * lq.w2_params.scale, s, h, comm);
   if (!cfg_.pre_norm) out = root_norm(out, lw.norm2_gamma, lw.norm2_beta);
@@ -322,12 +322,16 @@ model::Tensor QuantizedBlock::forward(
 model::Tensor QuantizedBlock::forward(const model::Tensor& x, int layer,
                                       std::span<const partition::RowSegment> segments,
                                       partition::CommRecord* comm) const {
-  partition::check_row_segments(segments, x.rows());
+  DISTMCU_CHECK(x.cols() == cfg_.embed_dim, "QuantizedBlock::forward: input width != E");
+  partition::check_row_segments(segments, x.rows(), plan_, layer);
+  if (segments.size() == 1) {
+    return forward_segment(x, layer, segments[0].chip_caches, segments[0].pos_offset, comm);
+  }
   model::Tensor out(x.rows(), x.cols());
   int r0 = 0;
   for (const partition::RowSegment& seg : segments) {
-    const model::Tensor y = forward(x.slice_rows(r0, r0 + seg.rows), layer,
-                                    seg.chip_caches, seg.pos_offset, comm);
+    const model::Tensor y = forward_segment(x.slice_rows(r0, r0 + seg.rows), layer,
+                                            seg.chip_caches, seg.pos_offset, comm);
     for (int r = 0; r < seg.rows; ++r) {
       const auto src = y.row(r);
       std::copy(src.begin(), src.end(), out.row(r0 + r).begin());

@@ -55,22 +55,28 @@ class QuantizedBlock {
                  const partition::PartitionPlan& plan, const noc::Topology& topo,
                  int kv_bits);
 
+  /// The stacked interface of `partition::DistributedBlock::forward`,
+  /// run one segment at a time. The A8W8 activation scales are one
+  /// absmax over the whole input tensor, so stacking requests would let
+  /// one request's values move another's scales and bits; a segment
+  /// run alone keeps every request's stream its own. Within a segment
+  /// the per-chip float attention, WO quantize+GEMM and FFN each run one
+  /// chip per task through partition::for_each_chip; the shared scales,
+  /// reduces and broadcasts stay on the calling thread.
+  [[nodiscard]] model::Tensor forward(const model::Tensor& x, int layer,
+                                      std::span<const partition::RowSegment> segments,
+                                      partition::CommRecord* comm = nullptr) const;
+
   /// Drop-in replacement for `partition::DistributedBlock::forward`:
   /// run block `layer` over x [S, E], appending K/V into
   /// `chip_caches[chip][layer]` when non-null.
   [[nodiscard]] model::Tensor forward(
       const model::Tensor& x, int layer,
       std::vector<std::vector<model::KvCache>>* chip_caches, int pos_offset,
-      partition::CommRecord* comm = nullptr) const;
-
-  /// The stacked interface of `partition::DistributedBlock::forward`,
-  /// run one segment at a time. The A8W8 activation scales are one
-  /// absmax over the whole input tensor, so stacking requests would let
-  /// one request's values move another's scales and bits; a segment
-  /// run alone keeps every request's stream its own.
-  [[nodiscard]] model::Tensor forward(const model::Tensor& x, int layer,
-                                      std::span<const partition::RowSegment> segments,
-                                      partition::CommRecord* comm = nullptr) const;
+      partition::CommRecord* comm = nullptr) const {
+    const partition::RowSegment whole{x.rows(), chip_caches, pos_offset};
+    return forward(x, layer, {&whole, 1}, comm);
+  }
 
   [[nodiscard]] int kv_bits() const { return kv_bits_; }
 
@@ -96,6 +102,11 @@ class QuantizedBlock {
                                         const model::Tensor& gamma,
                                         const model::Tensor& beta) const;
   void apply_activation(std::vector<float>& t) const;
+  /// One segment's block forward; the caller has checked the segment.
+  [[nodiscard]] model::Tensor forward_segment(
+      const model::Tensor& x, int layer,
+      std::vector<std::vector<model::KvCache>>* chip_caches, int pos_offset,
+      partition::CommRecord* comm) const;
   /// Float Q/K/V + RoPE + per-head attention for one chip; returns the
   /// chip's context slice [S, pw]. Fake-quantizes appended KV rows.
   [[nodiscard]] model::Tensor attn_context(
@@ -118,6 +129,7 @@ class QuantizedBlock {
   partition::PartitionPlan plan_;
   noc::Topology topo_;
   int kv_bits_ = 0;
+  partition::ChipPhaseWeights phase_weights_;
   std::vector<LayerQuant> layers_;
 };
 

@@ -8,10 +8,12 @@ namespace distmcu::util {
 
 enum class LogLevel { debug = 0, info = 1, warn = 2, error = 3, off = 4 };
 
-/// Minimal thread-unsafe logger. Simulation code is single-threaded by
-/// design (the event engine owns all ordering), so a global level and a
-/// stderr sink are sufficient. Verbosity defaults to `warn` so tests and
-/// benches stay quiet unless explicitly raised.
+/// Minimal thread-unsafe logger. The control plane (scheduling, the
+/// event engine, accounting) is single-threaded and owns all ordering,
+/// so a global level and a stderr sink are sufficient. The only other
+/// threads are util::parallel_for's pool workers running per-chip
+/// kernel work, and pool tasks never log. Verbosity defaults to `warn`
+/// so tests and benches stay quiet unless explicitly raised.
 class Logger {
  public:
   static Logger& instance();

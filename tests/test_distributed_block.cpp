@@ -3,7 +3,10 @@
 // to float reduction-order tolerance, for every chip count, both modes,
 // both norm placements, and across multi-layer stacks with KV caches.
 // The stacked forward over row segments must equal separate
-// one-segment forwards bit for bit, outputs and KV caches alike.
+// one-segment forwards bit for bit, outputs and KV caches alike; at
+// TinyLlama width, where each chip's work runs as a concurrent host
+// task, it must equal a forward whose chips run one by one. A forward
+// that throws must leave every KV cache as it was.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +23,7 @@
 #include "partition/sharder.hpp"
 #include "quant/quantized_block.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 using namespace distmcu;
@@ -389,4 +393,168 @@ TEST(StackedSegments, RejectsMalformedSegments) {
   const std::vector<RowSegment> shared_caches{{1, &caches, 0}, {2, &caches, 1}};
   EXPECT_THROW((void)block.forward(x, 0, shared_caches), Error);
   EXPECT_THROW((void)block.forward(x, 0, std::span<const RowSegment>{}), Error);
+}
+
+TEST(StackedSegments, OverflowingLastSegmentLeavesEveryCacheUnchanged) {
+  const auto cfg = test_config(false, true);
+  const Weights w(cfg, 9);
+  for (const int chips : {2, 4}) {
+    SCOPED_TRACE(std::to_string(chips) + " chips");
+    const auto plan = PartitionPlan::create(cfg, chips);
+    const ShardedWeights shards(w, plan);
+    const auto topo = noc::Topology::hierarchical(chips, 2);
+    const DistributedBlock fp(cfg, w, shards, plan, topo);
+    const quant::QuantizedBlock q8(cfg, w, shards, plan, topo, 8);
+
+    // Request A has room; request B's layer-0 caches are full.
+    ChipCaches a = fp.make_chip_caches(cfg.ar_context);
+    ChipCaches b = fp.make_chip_caches(cfg.ar_context);
+    (void)fp.forward(random_input(3, cfg.embed_dim, 1), 0, &a, 0);
+    (void)fp.forward(random_input(cfg.ar_context, cfg.embed_dim, 2), 0, &b, 0);
+    const std::vector<RowSegment> segments{{2, &a, 3}, {1, nullptr, 0}, {1, &b, cfg.ar_context}};
+    const Tensor x = random_input(4, cfg.embed_dim, 3);
+
+    const auto expect_unchanged = [&](const char* what) {
+      for (int c = 0; c < chips; ++c) {
+        const auto uc = static_cast<std::size_t>(c);
+        EXPECT_EQ(a[uc][0].length(), 3) << what << ": chip " << c;
+        EXPECT_EQ(b[uc][0].length(), cfg.ar_context) << what << ": chip " << c;
+        EXPECT_EQ(a[uc][1].length(), 0) << what << ": chip " << c;
+        EXPECT_EQ(b[uc][1].length(), 0) << what << ": chip " << c;
+      }
+    };
+    EXPECT_THROW((void)fp.forward(x, 0, segments), Error);
+    expect_unchanged("fp16");
+    EXPECT_THROW((void)q8.forward(x, 0, segments), Error);
+    expect_unchanged("int8");
+    // One request alone: the same check guards the one-segment forward.
+    EXPECT_THROW((void)fp.forward(x.slice_rows(0, 1), 0, &b, cfg.ar_context), Error);
+    EXPECT_THROW((void)q8.forward(x.slice_rows(0, 1), 0, &b, cfg.ar_context), Error);
+    expect_unchanged("one segment");
+  }
+}
+
+// --- concurrent chips at full width -------------------------------------------
+
+namespace {
+
+/// One TinyLlama-42M-width block (E = 512, F = 2048, 8 heads of 64).
+/// The int8 block supports only the plain MLP FFN.
+TransformerConfig full_width_config(bool int8) {
+  TransformerConfig cfg = TransformerConfig::tiny_llama_42m();
+  cfg.num_layers = 1;
+  cfg.vocab_size = 16;
+  cfg.ar_context = 16;
+  cfg.prompt_len = 8;
+  if (int8) cfg.ffn = model::FfnKind::mlp;
+  cfg.validate();
+  return cfg;
+}
+
+/// The fleet benchmark's 32-wide decoder block.
+TransformerConfig fleet_decoder_config() {
+  TransformerConfig cfg = TransformerConfig::tiny_llama_42m();
+  cfg.embed_dim = 32;
+  cfg.ffn_dim = 64;
+  cfg.num_heads = 4;
+  cfg.head_dim = 8;
+  cfg.num_layers = 2;
+  cfg.vocab_size = 128;
+  cfg.ar_context = 64;
+  cfg.prompt_len = 16;
+  cfg.validate();
+  return cfg;
+}
+
+/// Runs stacked segments with primed caches through `block` twice: once
+/// as is, and once inside a parallel_for task, where the block's own
+/// parallel_for runs inline and its chips one by one on one thread.
+/// Output rows and every chip's caches must match bit for bit.
+template <typename Block>
+void expect_concurrent_matches_serial(const TransformerConfig& cfg, const Block& block,
+                                      const DistributedBlock& geometry, int chips) {
+  SCOPED_TRACE(std::to_string(chips) + " chips");
+  const std::vector<int> rows{1, 4, 2, 1};
+  const std::vector<int> primed{6, 3, 0, 9};
+  const std::vector<bool> cached{true, true, false, true};
+  std::vector<ChipCaches> caches;
+  std::vector<RowSegment> segments;
+  int total = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    caches.push_back(geometry.make_chip_caches(cfg.ar_context));
+    if (primed[i] > 0) {
+      (void)block.forward(random_input(primed[i], cfg.embed_dim, 40 + i), 0, &caches.back(), 0);
+    }
+    total += rows[i];
+  }
+  std::vector<ChipCaches> serial_caches = caches;
+  std::vector<RowSegment> serial_segments;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    segments.push_back({rows[i], cached[i] ? &caches[i] : nullptr, primed[i]});
+    serial_segments.push_back({rows[i], cached[i] ? &serial_caches[i] : nullptr, primed[i]});
+  }
+  const Tensor x = random_input(total, cfg.embed_dim, 77);
+
+  const Tensor concurrent = block.forward(x, 0, segments);
+  Tensor serial;
+  util::parallel_for(1, [&](int) { serial = block.forward(x, 0, serial_segments); });
+
+  EXPECT_TRUE(same_bits(concurrent.span(), serial.span())) << "output rows differ";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (int c = 0; c < chips; ++c) {
+      const KvCache& a = caches[i][static_cast<std::size_t>(c)][0];
+      const KvCache& b = serial_caches[i][static_cast<std::size_t>(c)][0];
+      ASSERT_EQ(a.length(), b.length()) << "segment " << i << " chip " << c;
+      EXPECT_EQ(a.length(), primed[i] + (cached[i] ? rows[i] : 0));
+      EXPECT_TRUE(same_bits(a.k(), b.k()) && same_bits(a.v(), b.v()))
+          << "segment " << i << " chip " << c << " caches differ";
+    }
+  }
+}
+
+}  // namespace
+
+TEST(StackedSegments, ConcurrentChipsMatchSerialChipsAtTinyLlamaWidth) {
+  for (const bool int8 : {false, true}) {
+    SCOPED_TRACE(int8 ? "int8" : "fp16");
+    const TransformerConfig cfg = full_width_config(int8);
+    const Weights w(cfg, 31);
+    for (const int chips : {4, 8}) {
+      const auto plan = PartitionPlan::create(cfg, chips);
+      const ShardedWeights shards(w, plan);
+      const auto topo = noc::Topology::hierarchical(chips, 4);
+      const DistributedBlock fp(cfg, w, shards, plan, topo);
+      if (int8) {
+        const quant::QuantizedBlock q8(cfg, w, shards, plan, topo, 8);
+        expect_concurrent_matches_serial(cfg, q8, fp, chips);
+      } else {
+        expect_concurrent_matches_serial(cfg, fp, fp, chips);
+      }
+    }
+  }
+}
+
+TEST(StackedSegments, ConcurrencyThresholdSplitsTinyLlamaFromTheFleetShapes) {
+  // A TinyLlama-width block runs both phases of a one-row decode
+  // concurrently, so the test above exercises the pool...
+  const TransformerConfig wide = full_width_config(false);
+  for (const int chips : {4, 8}) {
+    const auto pw = partition::chip_phase_weights(wide, PartitionPlan::create(wide, chips));
+    EXPECT_GE(1 * (pw.qkv + pw.wo), partition::kConcurrentChipMacs) << chips << " chips";
+    EXPECT_GE(1 * pw.ffn, partition::kConcurrentChipMacs) << chips << " chips";
+  }
+  // ...while the fleet benchmark's 32-wide decoder and encoder blocks
+  // stay inline at any batch they form: their stacked forwards peak at
+  // 24 rows, and 32 rows on their narrowest split still fall short.
+  constexpr std::int64_t kFleetMaxRows = 32;
+  TransformerConfig encoder = fleet_decoder_config();
+  encoder.ffn_dim = 96;
+  encoder.mask = model::MaskKind::bidirectional;
+  for (const TransformerConfig& cfg : {fleet_decoder_config(), encoder}) {
+    for (const int chips : {2, 4}) {
+      const auto pw = partition::chip_phase_weights(cfg, PartitionPlan::create(cfg, chips));
+      EXPECT_LT(kFleetMaxRows * (pw.qkv + pw.wo), partition::kConcurrentChipMacs);
+      EXPECT_LT(kFleetMaxRows * pw.ffn, partition::kConcurrentChipMacs);
+    }
+  }
 }

@@ -38,6 +38,13 @@ Rules (suppress a single line with a trailing ``// lint-domain: allow``):
   token streams bit-exact across chip counts (see
   ``src/kernels/gemm.hpp``). ``target_clones("avx2", "default")`` is the
   sanctioned way to widen a kernel.
+* ``host-threads-in-parallel`` — ``std::thread``, ``std::jthread``,
+  ``std::async`` and ``pthread_create`` may appear in src/ only in
+  ``src/util/parallel.cpp``. Host concurrency lives in one module: the
+  block forwards hand their per-chip work to ``util::parallel_for``,
+  whose one pool is sized to the hardware, and everything else
+  (scheduling, accounting, the tracer, the logger) stays
+  single-threaded.
 
 With ``--docs <dir>`` two documentation rules run as well:
 
@@ -101,6 +108,10 @@ PRECISION_HOME = os.path.join("runtime", "precision.hpp")
 CODEGEN_CONTEXT = re.compile(
     r"\b(?:target_clones|target|optimize)\s*\(|#\s*pragma\s+GCC\b")
 FP_CONTRACTING = re.compile(r"fma|avx512|fast-math|fp-contract", re.I)
+
+# Starting host threads: allowed only in the worker pool's own file.
+HOST_THREADS = re.compile(r"\bstd::(?:thread|jthread|async)\b|\bpthread_create\b")
+PARALLEL_HOME = os.path.join("util", "parallel.cpp")
 
 SET_REQ_DEF = re.compile(r"^\s*(?:void\s+)?set_request\s*\(\s*int\b")
 SET_MODEL_DEF = re.compile(r"^\s*(?:void\s+)?set_model\s*\(\s*int\b")
@@ -219,6 +230,13 @@ def lint_file(path, findings):
                 f"literal assigned to a ...bits variable; derive the "
                 f"width from runtime::Precision / runtime::KvLayout "
                 f"(kv_layout_bits) instead")
+
+        if (not path.endswith(PARALLEL_HOME)
+                and HOST_THREADS.search(code)):
+            findings.append(
+                f"{path}:{lineno}: [host-threads-in-parallel] host threads "
+                f"are started only in src/util/parallel.cpp; hand "
+                f"concurrent work to util::parallel_for")
 
         if not SET_REQ_DEF.search(code):
             for m in SET_REQ.finditer(code):
@@ -375,7 +393,7 @@ def main():
         return 1
     rules = ("no-raw-assert, unsaturated-deadline, "
              "unsaturated-bytes-roundup, raw-precision-int, "
-             "tracer-pairing, no-fp-contraction")
+             "tracer-pairing, no-fp-contraction, host-threads-in-parallel")
     if args.docs:
         rules += ", docs-coverage, docs-snippet-sync"
     print(f"domain lint OK: {len(files)} files clean ({rules})")
