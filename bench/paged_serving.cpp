@@ -96,18 +96,16 @@ ConfigResult run_config(const runtime::InferenceSession& session,
                         const std::vector<runtime::GenerationResult>& solo) {
   ConfigResult out;
   out.config = name;
-  const bool paged = page_tokens > 0;
-  out.kv_units = paged
-                     ? kSlots * (session.config().ar_context / page_tokens)
-                     : kSlots;
+  // page_tokens == 0 is one page per context: the whole-request slot.
+  const int ctx = session.config().ar_context;
+  out.kv_units = kSlots * (ctx / (page_tokens > 0 ? page_tokens : ctx));
   runtime::BatchedEngine engine(session,
                                 {.max_batch = out.kv_units,
                                  .max_pending = 64,
                                  .prefill_chunk_tokens = kChunk,
                                  .kv_page_tokens = page_tokens,
                                  .prefix_sharing = prefix_sharing});
-  out.pool_bytes = paged ? engine.kv_pages().pool_bytes()
-                         : engine.kv_slots().pool_bytes();
+  out.pool_bytes = engine.kv_pages().pool_bytes();
   // One warm-up request first (its completed prefill registers the
   // system prompt in the prefix cache), then the burst: every burst
   // request can adopt the registered pages instead of recomputing them.
@@ -132,9 +130,7 @@ ConfigResult run_config(const runtime::InferenceSession& session,
   }
   out.stats = engine.stats();
   out.tokens_per_s = out.stats.aggregate_tokens_per_s(freq_hz);
-  out.pages_leaked = paged
-                         ? engine.kv_pages().in_use() - engine.prefix_cache_pages()
-                         : engine.kv_slots().in_use();
+  out.pages_leaked = engine.kv_pages().in_use() - engine.prefix_cache_pages();
   return out;
 }
 

@@ -101,7 +101,7 @@ class AnalysisError : public Error {
 ///    session, non-positive arena, negative knobs)
 ///  - DMCU-TRC-005  deployment-name collisions (trace lanes, per-model
 ///    stats rows, and JSON keys are keyed by name)
-///  - DMCU-KV-002   the budget policy cannot conserve slots: quota
+///  - DMCU-KV-002   the budget policy cannot conserve pages: quota
 ///    oversubscription, a deployment with no derivable reserve, or a
 ///    cap below the quota (a phantom unmet-reserve that watermark
 ///    borrowing throttles on but no occupancy can ever repay — warning)
@@ -116,7 +116,8 @@ class AnalysisError : public Error {
 ///  - DMCU-REQ-006  workload request shapes submit() would throw on
 ///    (unknown model, empty prompt, context/prefill overflow)
 ///  - DMCU-PAGE-007 paged-KV configuration faults: a negative page
-///    size, prefix_sharing without paging (ignored flag — warning), or
+///    size, prefix_sharing at one page per context (kv_page_tokens 0,
+///    ignored flag — warning), or
 ///    a workload sequence whose full KV needs more pages than its
 ///    tenant's cap (the engine's submit-time livelock guard)
 ///

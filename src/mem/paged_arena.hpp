@@ -10,23 +10,26 @@
 
 namespace distmcu::mem {
 
-/// Fixed-count, fixed-size *page* pool carved out of an Arena — the
-/// paged counterpart of SlotArena for block-granular KV serving (the
-/// vLLM layout, adapted to a fixed L2 budget): a request maps logical KV
-/// blocks to physical pages through a per-request page table, acquires
-/// only the pages its current length needs, and grows page-by-page at
-/// decode time.
+/// Fixed-count, fixed-size *page* pool carved out of an Arena — the one
+/// KV budget of block-granular serving (the vLLM layout, adapted to a
+/// fixed L2 budget): a request maps logical KV blocks to physical pages
+/// through a per-request page table, acquires only the pages its current
+/// length needs, and grows page-by-page at decode time. A page spanning
+/// a whole context is the whole-request slot of static shared-pool
+/// serving (MCUBERT): one page per request.
 ///
-/// Pages carry the same tenant discipline as SlotArena slots — every
-/// acquisition names the tenant the page is charged to, releases are
-/// owner-checked, and per-tenant occupancy/high-water/reclaim counters
-/// are maintained — plus a per-page *refcount* for copy-on-write prefix
+/// Pages carry a tenant discipline — every acquisition names the tenant
+/// (model) the page is charged to, releases are owner-checked so a page
+/// charged to one tenant can never be silently returned by (or migrated
+/// to) another, and per-tenant occupancy/high-water/reclaim counters are
+/// maintained — plus a per-page *refcount* for copy-on-write prefix
 /// sharing: a read-only prefix page can back several requests at once
 /// (`add_ref`), is physically counted once toward its owning tenant, and
 /// returns to the pool only when the last reference is released.
 ///
 /// The arena reserves the whole pool up front, so the fit accounting
-/// stays a single high-water number exactly as in the slot design.
+/// stays a single high-water number. Acquisition is lowest-free-index,
+/// so page assignment is deterministic.
 class PagedKvArena {
  public:
   /// Reserves `n_pages * page_bytes` from `arena` immediately (throws

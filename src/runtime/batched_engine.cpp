@@ -11,30 +11,11 @@ namespace distmcu::runtime {
 
 namespace {
 
-/// Re-check one deployment's memory plan with `cap` KV sets resident:
-/// the memory planner validated a single request's KV against the
-/// worst-case chip's L2 at the platform-native entry width, so swap the
-/// plan's single-set KV term for `cap` sets at the deployment's packed
-/// width. Native layouts reduce to the historical
-/// need() + kv * (cap - 1) check exactly.
-void check_pool_fits(const partition::MemoryPlan& mp, int cap, int elem_bits,
-                     int native_bits, const char* mode,
-                     const std::string& model) {
-  const Bytes set_kv = scale_kv_bytes(mp.kv_cache_bytes, elem_bits, native_bits);
-  const Bytes resident = mp.need() - mp.kv_cache_bytes +
-                         set_kv * static_cast<Bytes>(cap);
-  DISTMCU_CHECK_PLAN(
-      resident <= mp.l2_usable,
-      "BatchedEngine['" + model + "']: " + std::to_string(cap) +
-          " pooled KV-cache sets need " + util::format_bytes(resident) +
-          " of L2 in " + mode + " mode but only " +
-          util::format_bytes(mp.l2_usable) +
-          " is usable; lower max_batch or ar_context");
-}
-
-/// Page-granular variant: resident KV is bounded by the tenant's cap of
-/// pages, not cap whole-context sets, so swap the plan's single-set KV
-/// term for the worst page residency.
+/// Re-check one deployment's memory plan with its cap of KV pages
+/// resident: the memory planner validated a single request's
+/// full-context KV against the worst-case chip's L2, so swap the plan's
+/// single-set KV term for the worst page residency (at the deployment's
+/// packed width, already folded into `chip_page_bytes`).
 void check_paged_pool_fits(const partition::MemoryPlan& mp, int cap_pages,
                            Bytes chip_page_bytes, const char* mode,
                            const std::string& model) {
@@ -129,42 +110,33 @@ BatchedEngine::Tenant BatchedEngine::build_tenant(const ModelDeployment& dep,
     prompt_block = session.run_block(model::Mode::prompt);
   }
   const BlockResult ar_block = session.run_block(model::Mode::autoregressive);
-  t.chip_kv_bytes = scale_kv_bytes(ar_block.memory.kv_cache_bytes,
-                                   t.kv_elem_bits, native_kv_bits);
 
+  // The per-chip unit of the fit checks is one page's share of the
+  // worst-case chip's full-context KV footprint (the memory planner's
+  // `kv_cache_bytes`, scaled to the packed width, rounded up per chip so
+  // the check never under-reserves); page_tokens == 0 means one page per
+  // context, whose share is the whole footprint.
+  const Bytes chip_kv_bytes = scale_kv_bytes(ar_block.memory.kv_cache_bytes,
+                                             t.kv_elem_bits, native_kv_bits);
   const int ctx = session.config().ar_context;
-  if (page_tokens > 0) {
-    // Paged mode: the per-chip unit of the fit checks becomes one page's
-    // share of the full-context KV footprint (rounded up per chip so the
-    // check never under-reserves).
-    t.page_tokens = std::min(page_tokens, ctx);
-    t.chip_page_bytes =
-        (t.chip_kv_bytes * static_cast<Bytes>(t.page_tokens) +
-         static_cast<Bytes>(ctx) - 1) /
-        static_cast<Bytes>(ctx);
-  }
+  t.page_tokens = page_tokens > 0 ? std::min(page_tokens, ctx) : ctx;
+  t.chip_page_bytes = (chip_kv_bytes * static_cast<Bytes>(t.page_tokens) +
+                       static_cast<Bytes>(ctx) - 1) /
+                      static_cast<Bytes>(ctx);
 
   // Validate the pooled-KV fit for both serving phases BEFORE any cache
   // tensors are allocated. With chunking enabled the prompt phase
   // materializes chunk-shaped activations only, so its fit is checked at
   // the chunk shape.
-  const auto check_fit = [&](const partition::MemoryPlan& mp,
-                             const char* mode) {
-    if (page_tokens > 0) {
-      check_paged_pool_fits(mp, cap, t.chip_page_bytes, mode, t.name);
-    } else {
-      check_pool_fits(mp, cap, t.kv_elem_bits, native_kv_bits, mode, t.name);
-    }
-  };
   if (chunk_blocks.empty()) {
-    check_fit(prompt_block->memory, "prompt");
     t.fit_plans.push_back({"prompt", prompt_block->memory});
   } else {
-    check_fit(chunk_blocks.front().memory, "chunked-prompt");
     t.fit_plans.push_back({"chunked-prompt", chunk_blocks.front().memory});
   }
-  check_fit(ar_block.memory, "autoregressive");
   t.fit_plans.push_back({"autoregressive", ar_block.memory});
+  for (const Tenant::FitPlan& fp : t.fit_plans) {
+    check_paged_pool_fits(fp.plan, cap, t.chip_page_bytes, fp.mode, t.name);
+  }
 
   const auto layers = static_cast<Cycles>(session.config().num_layers);
 
@@ -211,12 +183,10 @@ BatchedEngine::Tenant BatchedEngine::build_tenant(const ModelDeployment& dep,
     return session.make_chip_caches(session.config().ar_context);
   });
   t.kv_set_bytes = t.pool->set_capacity_packed_bytes(t.kv_elem_bits);
-  if (t.page_tokens > 0) {
-    // Exact: a set's capacity is 2 * ctx * dim * elem summed over caches,
-    // so the per-context division has no remainder.
-    t.page_bytes = t.kv_set_bytes / static_cast<Bytes>(ctx) *
-                   static_cast<Bytes>(t.page_tokens);
-  }
+  // Exact: a set's capacity is 2 * ctx * dim * elem summed over caches,
+  // so the per-context division has no remainder.
+  t.page_bytes = t.kv_set_bytes / static_cast<Bytes>(ctx) *
+                 static_cast<Bytes>(t.page_tokens);
   return t;
 }
 
@@ -250,9 +220,9 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
         DISTMCU_CHECK(opts_.kv_page_tokens >= 0,
                     "BatchedEngine: kv_page_tokens must be >= 0");
         // Quota derivation: explicit quotas are kept, unset (0) quotas
-        // share the remaining slots equally (remainder to the earliest
+        // share the remaining pages equally (remainder to the earliest
         // deployments), and every deployment must end up with at least
-        // one reserved slot so the static split can always drain it.
+        // one reserved page so the static split can always drain it.
         int explicit_sum = 0;
         int unset = 0;
         for (const auto& e : registry.entries()) {
@@ -269,7 +239,7 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
                         std::to_string(opts_.total_kv_slots) + ")");
         const int rem = opts_.total_kv_slots - explicit_sum;
         DISTMCU_CHECK(unset == 0 || rem >= unset,
-                    "BatchedEngine: total_kv_slots leaves no KV slot for "
+                    "BatchedEngine: total_kv_slots leaves no KV page for "
                     "some deployment; raise total_kv_slots or lower quotas");
         const bool borrowing = resolve_budget(opts_)->allows_borrowing();
         std::vector<Tenant> out;
@@ -293,33 +263,23 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
       }()),
       trace_models_(tenants_.size() > 1),
       slab_bytes_([&] {
-        // Uniform budget units across tenants: the largest set in slot
-        // mode, the largest page in paged mode — so unit indices stay
-        // interchangeable across models.
+        // Uniform pages across tenants, sized for the largest tenant's
+        // page, so page indices stay interchangeable across models.
         Bytes slab = 0;
-        for (const Tenant& t : tenants_) {
-          slab = std::max(slab, opts_.kv_page_tokens > 0 ? t.page_bytes
-                                                         : t.kv_set_bytes);
-        }
+        for (const Tenant& t : tenants_) slab = std::max(slab, t.page_bytes);
         return slab;
       }()),
-      // Size the arena for total_kv_slots aligned slab reservations
-      // exactly (total pages in paged mode).
+      // Size the arena for total_kv_slots aligned page reservations
+      // exactly.
       kv_arena_("l2.kv_pool",
                 static_cast<Bytes>(opts_.total_kv_slots) *
                     mem::Arena::align_up(slab_bytes_,
                                          mem::Arena::kDefaultAlignment)),
-      kv_slots_([&]() -> std::optional<mem::SlotArena> {
-        if (opts_.kv_page_tokens > 0) return std::nullopt;
-        return std::make_optional<mem::SlotArena>(
-            kv_arena_, "kv_set", opts_.total_kv_slots, slab_bytes_);
-      }()),
-      kv_pages_([&]() -> std::optional<mem::PagedKvArena> {
-        if (opts_.kv_page_tokens <= 0) return std::nullopt;
-        return std::make_optional<mem::PagedKvArena>(
-            kv_arena_, "kv_page", opts_.total_kv_slots, slab_bytes_);
-      }()),
+      kv_pages_(kv_arena_, "kv_page", opts_.total_kv_slots, slab_bytes_),
       pipeline_(1.0, 0, static_cast<int>(tenants_.size())) {
+  // A whole-context page has no shareable prefix, so prefix sharing is
+  // decided here, once: on only when pages are finer than a context.
+  opts_.prefix_sharing = opts_.prefix_sharing && opts_.kv_page_tokens > 0;
   // Admission policy: the configured scheduler, or the process-wide FIFO
   // instance (policies are stateless, so sharing it is safe).
   static const FifoScheduler kDefaultFifo;
@@ -331,28 +291,24 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
   // model next to its OWN cap of KV sets; with several tenants the
   // shared arena can hold other models' KV at the same time, so every
   // deployment must also fit its working set next to the worst-case
-  // co-resident KV the budget can produce — the arena's slots filled
-  // greedily with the largest per-chip KV footprints, each tenant
+  // co-resident KV the budget can produce — the arena's pages filled
+  // greedily with the largest per-chip page footprints, each tenant
   // bounded by its cap. (Per-chip units throughout, matching the
-  // planner's l2_usable; the single-model engine keeps the historical
-  // check bit-exactly.)
+  // planner's l2_usable.)
   if (tenants_.size() > 1) {
-    // Per budget unit: a whole set's per-chip KV in slot mode, one
-    // page's share in paged mode (caps are in the same unit).
-    std::vector<std::pair<Bytes, int>> kv_loads;  // (per-chip KV, cap)
+    std::vector<std::pair<Bytes, int>> kv_loads;  // (per-chip page, cap)
     for (const Tenant& t : tenants_) {
-      kv_loads.emplace_back(paged() ? t.chip_page_bytes : t.chip_kv_bytes,
-                            t.cap);
+      kv_loads.emplace_back(t.chip_page_bytes, t.cap);
     }
     std::sort(kv_loads.begin(), kv_loads.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
     Bytes worst_kv = 0;
-    int slots_left = opts_.total_kv_slots;
+    int pages_left = opts_.total_kv_slots;
     for (const auto& [chip_kv, cap] : kv_loads) {
-      if (slots_left <= 0) break;
-      const int take = std::min(cap, slots_left);
+      if (pages_left <= 0) break;
+      const int take = std::min(cap, pages_left);
       worst_kv += static_cast<Bytes>(take) * chip_kv;
-      slots_left -= take;
+      pages_left -= take;
     }
     for (const Tenant& t : tenants_) {
       for (const Tenant::FitPlan& fp : t.fit_plans) {
@@ -399,18 +355,6 @@ BatchedEngine::BatchedEngine(const InferenceSession& session, Options opts,
                                  .kv_page_tokens = opts.kv_page_tokens,
                                  .prefix_sharing = opts.prefix_sharing},
                     tracer) {}
-
-const mem::SlotArena& BatchedEngine::kv_slots() const {
-  DISTMCU_CHECK(kv_slots_.has_value(),
-              "BatchedEngine: kv_slots() on a paged engine; use kv_pages()");
-  return *kv_slots_;
-}
-
-const mem::PagedKvArena& BatchedEngine::kv_pages() const {
-  DISTMCU_CHECK(kv_pages_.has_value(),
-              "BatchedEngine: kv_pages() on a slot engine; use kv_slots()");
-  return *kv_pages_;
-}
 
 int BatchedEngine::page_tokens(ModelId m) const { return tenant(m).page_tokens; }
 
@@ -462,27 +406,8 @@ int BatchedEngine::prefix_match_tokens(ModelId m,
   return best;
 }
 
-int BatchedEngine::kv_free() const {
-  return paged() ? kv_pages_->free() : kv_slots_->free();
-}
-int BatchedEngine::kv_capacity_units() const {
-  return paged() ? kv_pages_->capacity() : kv_slots_->capacity();
-}
-int BatchedEngine::kv_tenant_in_use(ModelId m) const {
-  return paged() ? kv_pages_->tenant_in_use(m) : kv_slots_->tenant_in_use(m);
-}
-int BatchedEngine::kv_tenant_high_water(ModelId m) const {
-  return paged() ? kv_pages_->tenant_high_water(m)
-                 : kv_slots_->tenant_high_water(m);
-}
-int BatchedEngine::kv_tenant_reclaimed(ModelId m) const {
-  return paged() ? kv_pages_->tenant_reclaimed(m)
-                 : kv_slots_->tenant_reclaimed(m);
-}
-
 int BatchedEngine::pages_for_tokens(ModelId m, int n) const {
   const int pt = tenant(m).page_tokens;
-  DISTMCU_CHECK(pt > 0, "BatchedEngine: pages_for_tokens on a slot engine");
   return (n + pt - 1) / pt;
 }
 
@@ -597,7 +522,7 @@ bool BatchedEngine::can_grant_pages(
   auto& v = views[static_cast<std::size_t>(m)];
   for (int i = 0; i < n; ++i) {
     if (free_pages <= 0 || v.in_use >= t.cap) return false;
-    if (!budget_->may_acquire(m, views, kv_capacity_units(), free_pages)) {
+    if (!budget_->may_acquire(m, views, kv_pages_.capacity(), free_pages)) {
       return false;
     }
     ++v.in_use;
@@ -673,18 +598,16 @@ std::optional<RequestId> BatchedEngine::submit(Request req) {
       static_cast<int>(req.prompt.size()) <= t.session->config().prompt_len,
       "submit: prompt exceeds the deployment's prefill length (" +
           std::to_string(t.session->config().prompt_len) + ")");
-  if (paged()) {
-    // Livelock guard: a sequence whose full KV can never fit the
-    // tenant's page cap would be admitted, grown until the cap, and
-    // evicted forever. Refuse it up front like the context checks above.
-    const int max_rows = static_cast<int>(req.prompt.size()) +
-                         std::max(0, req.new_tokens - 1);
-    DISTMCU_CHECK(pages_for_tokens(req.model, max_rows) <= t.cap,
-                "submit: sequence needs " +
-                    std::to_string(pages_for_tokens(req.model, max_rows)) +
-                    " KV pages but model '" + t.name + "' is capped at " +
-                    std::to_string(t.cap));
-  }
+  // Livelock guard: a sequence whose full KV can never fit the tenant's
+  // page cap would be admitted, grown until the cap, and evicted
+  // forever. Refuse it up front like the context checks above.
+  const int max_rows =
+      static_cast<int>(req.prompt.size()) + std::max(0, req.new_tokens - 1);
+  DISTMCU_CHECK(pages_for_tokens(req.model, max_rows) <= t.cap,
+              "submit: sequence needs " +
+                  std::to_string(pages_for_tokens(req.model, max_rows)) +
+                  " KV pages but model '" + t.name + "' is capped at " +
+                  std::to_string(t.cap));
 
   last_rejection_ = Rejection::none;
   auto& pm = stats_.per_model[static_cast<std::size_t>(req.model)];
@@ -701,7 +624,7 @@ std::optional<RequestId> BatchedEngine::submit(Request req) {
 
   // Fail-fast: refuse a deadline the request's own service demand
   // already blows on an idle engine — queueing and batching only add to
-  // it, so accepting would just burn slots on a guaranteed miss.
+  // it, so accepting would just burn KV pages on a guaranteed miss.
   if (opts_.fail_fast_deadlines && deadline_at != kNoDeadline &&
       util::sat_add(submitted_at, est) > deadline_at) {
     last_rejection_ = Rejection::hopeless_deadline;
@@ -712,11 +635,11 @@ std::optional<RequestId> BatchedEngine::submit(Request req) {
   }
 
   // max_pending bounds the *queue*: only the backlog beyond what the
-  // free KV slots can absorb at the next admission point counts against
-  // it, so an idle engine with a free slot admits even at
+  // free KV pages can absorb at the next admission point counts against
+  // it, so an idle engine with a free page admits even at
   // max_pending == 0. On a full queue fair shedding (when enabled) may
   // drop a heavier tenant's newest queued request to make room.
-  const int backlog = static_cast<int>(pending_.size()) - kv_free();
+  const int backlog = static_cast<int>(pending_.size()) - kv_pages_.free();
   if (backlog >= opts_.max_pending &&
       !(opts_.fair_shedding && shed_for_model(req.model))) {
     last_rejection_ = Rejection::queue_full;
@@ -746,7 +669,7 @@ std::vector<KvBudgetPolicy::TenantView> BatchedEngine::budget_views() const {
   std::vector<KvBudgetPolicy::TenantView> views(tenants_.size());
   for (std::size_t m = 0; m < tenants_.size(); ++m) {
     views[m].model = static_cast<ModelId>(m);
-    views[m].in_use = kv_tenant_in_use(static_cast<ModelId>(m));
+    views[m].in_use = kv_pages_.tenant_in_use(static_cast<ModelId>(m));
     views[m].quota = tenants_[m].quota;
     views[m].cap = tenants_[m].cap;
   }
@@ -758,48 +681,41 @@ std::vector<KvBudgetPolicy::TenantView> BatchedEngine::budget_views() const {
 
 bool BatchedEngine::admissible_now(
     const Inflight& p, const std::vector<KvBudgetPolicy::TenantView>& views,
-    int free_slots) const {
-  if (free_slots <= 0) return false;
-  const auto m = static_cast<std::size_t>(p.model);
-  if (!paged()) {
-    if (views[m].in_use >= tenants_[m].cap) return false;
-    return budget_->may_acquire(p.model, views, kv_capacity_units(),
-                                free_slots);
-  }
-  // Paged: the whole first-step page requirement (net of adoptable
-  // shared pages) must be grantable at once, and the tenant's functional
-  // pool must have a cache set left — page occupancy no longer tracks
-  // set occupancy one-to-one (a request holding only shared references
-  // charges zero pages).
-  if (tenants_[m].pool->sets_in_use() >= tenants_[m].pool->capacity()) {
-    return false;
-  }
+    int free_pages, int freed_sets) const {
+  if (free_pages <= 0) return false;
+  // The whole first-step page requirement (net of adoptable shared
+  // pages) must be grantable at once, and the tenant's functional pool
+  // must have a cache set left — page occupancy need not track set
+  // occupancy one-to-one (adopted prefix pages are charged once however
+  // many requests map them).
+  const model::KvCachePool& pool =
+      *tenants_[static_cast<std::size_t>(p.model)].pool;
+  if (pool.sets_in_use() - freed_sets >= pool.capacity()) return false;
   const PagedAdmitPlan plan = plan_paged_admission(p);
-  return can_grant_pages(p.model, views, free_slots,
+  return can_grant_pages(p.model, views, free_pages,
                          plan.need_pages - plan.shared_pages);
 }
 
 bool BatchedEngine::admits_after_evicting(const Inflight& starved,
                                           const Inflight& victim) const {
-  // Post-eviction snapshot: the victim's budget units free and it
-  // rejoins the queue; then ask whether the budget would grant the
-  // starved request admission (a watermark-borrowed victim unit repays
-  // the reserve cross-model, which is exactly what makes this reclaim
-  // useful).
+  // Post-eviction snapshot: the victim's pages free and it rejoins the
+  // queue; then ask whether the budget would grant the starved request
+  // admission (a watermark-borrowed victim page repays the reserve
+  // cross-model, which is exactly what makes this reclaim useful). Only
+  // the victim's sole-referenced pages return to the pool; pages shared
+  // with the prefix registry or other requests stay resident.
   auto views = budget_views();
   auto& vv = views[static_cast<std::size_t>(victim.model)];
-  int freed = 1;
-  if (paged()) {
-    // Only the victim's sole-referenced pages return to the pool; pages
-    // shared with the prefix registry or other requests stay resident.
-    freed = 0;
-    for (const int pg : victim.pages) {
-      if (kv_pages_->refcount(pg) == 1) ++freed;
-    }
+  int freed = 0;
+  for (const int pg : victim.pages) {
+    if (kv_pages_.refcount(pg) == 1) ++freed;
   }
   vv.in_use -= freed;
   ++vv.pending;
-  return admissible_now(starved, views, kv_free() + freed);
+  // The victim's cache set returns to its own model's pool, so it only
+  // helps a starved request of the same model.
+  const int freed_sets = victim.model == starved.model ? 1 : 0;
+  return admissible_now(starved, views, kv_pages_.free() + freed, freed_sets);
 }
 
 Cycles BatchedEngine::remaining_cost(const Inflight& r) const {
@@ -840,7 +756,7 @@ void BatchedEngine::maybe_preempt(int step_idx, double& step_energy) {
 bool BatchedEngine::attempt_preemption(int step_idx, double& step_energy) {
   const Cycles now = pipeline_.now();
   const auto views = budget_views();
-  const int free_slots = kv_free();
+  const int free_pages = kv_pages_.free();
 
   // Starved = pending with a deadline the cost estimator says is
   // feasible started now, but that the budget will not admit right now.
@@ -850,7 +766,7 @@ bool BatchedEngine::attempt_preemption(int step_idx, double& step_energy) {
     const Inflight& p = pending_[i];
     if (p.deadline_at == kNoDeadline) continue;
     if (util::sat_add(now, p.estimated_cost) > p.deadline_at) continue;
-    if (admissible_now(p, views, free_slots)) continue;
+    if (admissible_now(p, views, free_pages)) continue;
     const auto si = static_cast<std::size_t>(starved_idx);
     if (starved_idx < 0 || p.deadline_at < pending_[si].deadline_at ||
         (p.deadline_at == pending_[si].deadline_at &&
@@ -880,7 +796,7 @@ bool BatchedEngine::attempt_preemption(int step_idx, double& step_energy) {
     pv.remaining_cost = remaining_cost(v);
     pv.generated = v.generated;
     pv.new_tokens = v.new_tokens;
-    pv.borrowed = kv_tenant_in_use(v.model) >
+    pv.borrowed = kv_pages_.tenant_in_use(v.model) >
                   tenants_[static_cast<std::size_t>(v.model)].quota;
     pv.times_evicted = v.times_evicted;
     min_rem = std::min(min_rem, pv.remaining_cost);
@@ -922,27 +838,23 @@ void BatchedEngine::evict_active(std::size_t idx, int /*step_idx*/,
   active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(idx));
   Tenant& t = tenants_[static_cast<std::size_t>(r.model)];
   r.checkpoint_bytes = t.pool->set_filled_packed_bytes(r.set, t.kv_elem_bits);
-  if (paged()) {
-    // Rows resident in shared pages are not checkpoint traffic: the
-    // pages stay mapped under the prefix registry (or other sharers)
-    // and a resume re-references them. Only whole leading shared pages
-    // count — a partial private page's rows must move either way — and
-    // the shared span is kept page-aligned so the resume bookkeeping
-    // stays exact.
-    const int written = r.prefill_done() ? r.pos : r.prefill_pos;
-    int lead = 0;
-    while (lead < static_cast<int>(r.pages.size()) &&
-           kv_pages_->refcount(r.pages[static_cast<std::size_t>(lead)]) >= 2) {
-      ++lead;
-    }
-    const int pt = t.page_tokens;
-    const int shared_tok = std::min((written / pt) * pt, lead * pt);
-    const Bytes per_token =
-        t.kv_set_bytes /
-        static_cast<Bytes>(t.session->config().ar_context);
-    r.checkpoint_bytes -= static_cast<Bytes>(shared_tok) * per_token;
-    r.shared_resident_tokens = shared_tok;
+  // Rows resident in shared pages are not checkpoint traffic: the pages
+  // stay mapped under the prefix registry (or other sharers) and a
+  // resume re-references them. Only whole leading shared pages count —
+  // a partial private page's rows must move either way — and the shared
+  // span is kept page-aligned so the resume bookkeeping stays exact.
+  const int written = r.prefill_done() ? r.pos : r.prefill_pos;
+  int lead = 0;
+  while (lead < static_cast<int>(r.pages.size()) &&
+         kv_pages_.refcount(r.pages[static_cast<std::size_t>(lead)]) >= 2) {
+    ++lead;
   }
+  const int pt = t.page_tokens;
+  const int shared_tok = std::min((written / pt) * pt, lead * pt);
+  const Bytes per_token =
+      t.kv_set_bytes / static_cast<Bytes>(t.session->config().ar_context);
+  r.checkpoint_bytes -= static_cast<Bytes>(shared_tok) * per_token;
+  r.shared_resident_tokens = shared_tok;
   r.checkpoint = t.pool->slot(r.set);  // deep copy of the functional KV
   // Checkpoint traffic: the filled KV moves out through the chip's L3
   // DMA model (setup + bytes at the L3<->L2 bandwidth), charged to the
@@ -963,16 +875,11 @@ void BatchedEngine::evict_active(std::size_t idx, int /*step_idx*/,
   r.work_done_at = pipeline_.now();
 
   auto& pm = stats_.per_model[static_cast<std::size_t>(r.model)];
-  if (paged()) {
-    for (const int pg : r.pages) kv_pages_->reclaim(pg, r.model);
-    r.pages.clear();
-    r.shared_pages = 0;
-  } else {
-    kv_slots_->reclaim(r.slot, r.model);
-  }
-  pm.kv_slots_reclaimed = kv_tenant_reclaimed(r.model);
+  for (const int pg : r.pages) kv_pages_.reclaim(pg, r.model);
+  r.pages.clear();
+  r.shared_pages = 0;
+  pm.kv_slots_reclaimed = kv_pages_.tenant_reclaimed(r.model);
   t.pool->release_set(r.set);
-  r.slot = -1;
   r.set = -1;
   ++r.times_evicted;
   ++stats_.preemptions;
@@ -1019,19 +926,19 @@ bool BatchedEngine::shed_for_model(ModelId incoming) {
 int BatchedEngine::pick_admissible_pending() const {
   // Budget snapshot: everybody's occupancy and queued demand.
   const std::vector<KvBudgetPolicy::TenantView> views = budget_views();
-  const int free_units = kv_free();
+  const int free_pages = kv_pages_.free();
 
   // The scheduler ranks exactly the requests the budget would grant
   // admission to right now — so a deadline on one model can preempt
   // admission of another model's request, but never overdraw that
-  // model's share. (Paged mode grants the whole first-step page set or
-  // nothing; admissible_now holds both mode's rules.)
+  // model's share. (Admission grants the whole first-step page set or
+  // nothing.)
   std::vector<Scheduler::Candidate> queue;
   std::vector<int> pending_index;
   queue.reserve(pending_.size());
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const Inflight& p = pending_[i];
-    if (!admissible_now(p, views, free_units)) continue;
+    if (!admissible_now(p, views, free_pages)) continue;
     Scheduler::Candidate c;
     c.id = p.id;
     c.model = p.model;
@@ -1081,17 +988,12 @@ void BatchedEngine::charge(Inflight& r, Cycles cycles, double energy_mj,
 }
 
 void BatchedEngine::finish(Inflight& r, int step_idx) {
-  if (paged()) {
-    // Owner-checked page release; shared prefix pages just drop one
-    // reference and stay resident for the registry / other sharers.
-    for (const int pg : r.pages) kv_pages_->release(pg, r.model);
-    r.pages.clear();
-    r.shared_pages = 0;
-  } else {
-    kv_slots_->release(r.slot, r.model);
-  }
+  // Owner-checked page release; shared prefix pages just drop one
+  // reference and stay resident for the registry / other sharers.
+  for (const int pg : r.pages) kv_pages_.release(pg, r.model);
+  r.pages.clear();
+  r.shared_pages = 0;
   tenants_[static_cast<std::size_t>(r.model)].pool->release_set(r.set);
-  r.slot = -1;
   r.set = -1;
   RequestResult out;
   out.id = r.id;
@@ -1192,16 +1094,16 @@ void BatchedEngine::decode_rows(ModelId m,
 void BatchedEngine::admit_pending(int step_idx, double& step_energy,
                                   std::vector<char>& serial_admitted) {
   // A prefix registry pinning EVERY page would stall admission forever on
-  // an otherwise idle engine: the loop below never runs at kv_free() == 0,
-  // so its deadlock guard never fires. Small pools (few pages, long
+  // an otherwise idle engine: the loop below never runs without a free
+  // page, so its deadlock guard never fires. Small pools (few pages, long
   // whole-page prompts) reach this; evict pins until a page frees up.
-  while (paged() && active_.empty() && !pending_.empty() && kv_free() == 0 &&
+  while (active_.empty() && !pending_.empty() && kv_pages_.free() == 0 &&
          drop_lru_prefix_entry()) {
   }
-  while (!pending_.empty() && kv_free() > 0) {
+  while (!pending_.empty() && kv_pages_.free() > 0) {
     const int pi = pick_admissible_pending();
     if (pi < 0) {
-      // Paged deadlock guard: with nothing running, the only occupancy
+      // Deadlock guard: with nothing running, the only occupancy
       // free admission could be waiting on is the prefix registry's page
       // pins — drop the least-recently-used entry and retry; registered
       // prefixes must never starve live work. When the registry is
@@ -1209,7 +1111,7 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy,
       // be admitted at all: that is a configuration error (its page
       // demand exceeds what the policy will ever grant its tenant), not
       // a transient.
-      if (paged() && active_.empty()) {
+      if (active_.empty()) {
         if (drop_lru_prefix_entry()) continue;
         DISTMCU_CHECK(pending_.empty(),
                     "BatchedEngine: pending request can never be admitted "
@@ -1225,18 +1127,10 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy,
     // Re-plan after the pick: nothing changed since admissible_now saw
     // the request (no registry drops happen mid-loop), so the plan the
     // budget approved is the plan acquired below.
-    PagedAdmitPlan plan;
-    if (paged()) {
-      plan = plan_paged_admission(r);
-    } else {
-      const auto slot = kv_slots_->acquire(r.model);
-      DISTMCU_CHECK(slot.has_value(),
-                  "BatchedEngine: admission without a free slot");
-      r.slot = *slot;
-    }
+    const PagedAdmitPlan plan = plan_paged_admission(r);
     const auto set = t.pool->acquire_set();
     DISTMCU_CHECK(set.has_value(),
-                "BatchedEngine['" + t.name + "']: budget granted a slot "
+                "BatchedEngine['" + t.name + "']: budget granted pages "
                 "beyond the model's cache-set cap");
     r.set = *set;
     const bool resuming = r.checkpoint.has_value();
@@ -1255,54 +1149,50 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy,
     auto& pm = stats_.per_model[static_cast<std::size_t>(r.model)];
 
     Bytes restore_bytes = r.checkpoint_bytes;
-    if (paged()) {
-      if (plan.entry >= 0 && plan.shared_pages > 0) {
-        // Shared prefix pages first (token order), one new reference
-        // each; the physical pages stay charged to this same tenant.
-        Tenant::PrefixEntry& e =
-            t.prefix_cache[static_cast<std::size_t>(plan.entry)];
-        for (int k = 0; k < plan.shared_pages; ++k) {
-          const int pg = e.pages[static_cast<std::size_t>(k)];
-          kv_pages_->add_ref(pg);
-          r.pages.push_back(pg);
-        }
-        r.shared_pages = plan.shared_pages;
-        e.last_use = ++prefix_clock_;
-        if (!resuming) {
-          // Copy-on-write fork: adopt the donor's rows bit-exactly and
-          // skip their prefill chunks entirely — that skip IS the
-          // prefix-sharing win, so no cycles are charged here.
-          t.pool->restore_prefix(r.set, e.kv, plan.shared_tokens);
-          r.prefill_pos = plan.shared_tokens;
-          ++stats_.prefix_hits;
-          stats_.prefix_shared_tokens += plan.shared_tokens;
-          if (plan.shared_tokens > plan.shared_pages * t.page_tokens) {
-            ++stats_.cow_forks;
-          }
-        }
-      } else if (resuming && r.shared_resident_tokens > 0) {
-        // The registry dropped the prefix while this request was out:
-        // its shared rows now come back from the L3 backing store (which
-        // holds every checkpointed block) into private pages, alongside
-        // the checkpoint itself.
-        const Bytes per_token =
-            t.kv_set_bytes /
-            static_cast<Bytes>(t.session->config().ar_context);
-        restore_bytes +=
-            static_cast<Bytes>(r.shared_resident_tokens) * per_token;
+    if (plan.entry >= 0 && plan.shared_pages > 0) {
+      // Shared prefix pages first (token order), one new reference
+      // each; the physical pages stay charged to this same tenant.
+      Tenant::PrefixEntry& e =
+          t.prefix_cache[static_cast<std::size_t>(plan.entry)];
+      for (int k = 0; k < plan.shared_pages; ++k) {
+        const int pg = e.pages[static_cast<std::size_t>(k)];
+        kv_pages_.add_ref(pg);
+        r.pages.push_back(pg);
       }
-      if (resuming) r.shared_resident_tokens = 0;
-      // Private pages up to the first step's requirement; growth takes
-      // over page-by-page from the next step on.
-      const int need = pages_for_tokens(r.model, tokens_after_step(r));
-      while (static_cast<int>(r.pages.size()) < need) {
-        const auto pg = kv_pages_->acquire(r.model);
-        DISTMCU_CHECK(pg.has_value(),
-                    "BatchedEngine: admission without a free page");
-        r.pages.push_back(*pg);
+      r.shared_pages = plan.shared_pages;
+      e.last_use = ++prefix_clock_;
+      if (!resuming) {
+        // Copy-on-write fork: adopt the donor's rows bit-exactly and
+        // skip their prefill chunks entirely — that skip IS the
+        // prefix-sharing win, so no cycles are charged here.
+        t.pool->restore_prefix(r.set, e.kv, plan.shared_tokens);
+        r.prefill_pos = plan.shared_tokens;
+        ++stats_.prefix_hits;
+        stats_.prefix_shared_tokens += plan.shared_tokens;
+        if (plan.shared_tokens > plan.shared_pages * t.page_tokens) {
+          ++stats_.cow_forks;
+        }
       }
+    } else if (resuming && r.shared_resident_tokens > 0) {
+      // The registry dropped the prefix while this request was out:
+      // its shared rows now come back from the L3 backing store (which
+      // holds every checkpointed block) into private pages, alongside
+      // the checkpoint itself.
+      const Bytes per_token =
+          t.kv_set_bytes / static_cast<Bytes>(t.session->config().ar_context);
+      restore_bytes += static_cast<Bytes>(r.shared_resident_tokens) * per_token;
     }
-    pm.kv_in_use_high_water = kv_tenant_high_water(r.model);
+    if (resuming) r.shared_resident_tokens = 0;
+    // Private pages up to the first step's requirement; growth takes
+    // over page-by-page from the next step on.
+    const int need = pages_for_tokens(r.model, tokens_after_step(r));
+    while (static_cast<int>(r.pages.size()) < need) {
+      const auto pg = kv_pages_.acquire(r.model);
+      DISTMCU_CHECK(pg.has_value(),
+                  "BatchedEngine: admission without a free page");
+      r.pages.push_back(*pg);
+    }
+    pm.kv_in_use_high_water = kv_pages_.tenant_high_water(r.model);
 
     if (resuming) {
       // Resume: restore the checkpointed KV into the fresh set and
@@ -1401,7 +1291,7 @@ bool BatchedEngine::drop_lru_prefix_entry(ModelId only) {
   // Registry pins release through the owning tenant; a page still
   // referenced by an active adopter (or a sibling entry) stays resident.
   for (const int pg : entry.pages) {
-    kv_pages_->release(pg, static_cast<ModelId>(best_m));
+    kv_pages_.release(pg, static_cast<ModelId>(best_m));
   }
   return true;
 }
@@ -1410,17 +1300,17 @@ std::optional<int> BatchedEngine::acquire_page_for(ModelId m) {
   const Tenant& t = tenants_[static_cast<std::size_t>(m)];
   for (;;) {
     const auto views = budget_views();
-    if (kv_free() > 0 &&
-        views[static_cast<std::size_t>(m)].in_use < t.cap &&
-        budget_->may_acquire(m, views, kv_capacity_units(), kv_free())) {
-      return kv_pages_->acquire(m);
+    const int free_pages = kv_pages_.free();
+    if (free_pages > 0 && views[static_cast<std::size_t>(m)].in_use < t.cap &&
+        budget_->may_acquire(m, views, kv_pages_.capacity(), free_pages)) {
+      return kv_pages_.acquire(m);
     }
     // Denied. With no free page, any tenant's registry pin can return
     // one to the pool; with free pages but a budget refusal, only this
     // tenant's own pins repay its occupancy. Each round drops one entry
     // (or gives up), so the loop terminates.
     const bool dropped =
-        kv_free() <= 0 ? drop_lru_prefix_entry() : drop_lru_prefix_entry(m);
+        free_pages <= 0 ? drop_lru_prefix_entry() : drop_lru_prefix_entry(m);
     if (!dropped) return std::nullopt;
   }
 }
@@ -1444,7 +1334,7 @@ void BatchedEngine::grow_active_paged(int step_idx, double& step_energy) {
       }
       r.pages.push_back(*pg);
       stats_.per_model[static_cast<std::size_t>(r.model)]
-          .kv_in_use_high_water = kv_tenant_high_water(r.model);
+          .kv_in_use_high_water = kv_pages_.tenant_high_water(r.model);
     }
     if (grown) {
       ++i;
@@ -1473,7 +1363,7 @@ void BatchedEngine::donate_prefix(const Inflight& r) {
   Tenant::PrefixEntry e;
   e.tokens = r.prompt;
   e.pages.assign(r.pages.begin(), r.pages.begin() + k);
-  for (const int pg : e.pages) kv_pages_->add_ref(pg);
+  for (const int pg : e.pages) kv_pages_.add_ref(pg);
   // Deep copy of the donor's KV rows for later functional forks. The
   // donor never rewrites rows below its prompt length (KV is append-
   // only), so the shared pages stay read-only by construction; donation
@@ -1674,7 +1564,7 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
         r.next = t.session->embedding().greedy_next(
             h.slice_rows(row_end - 1, row_end));
       }
-      if (paged() && opts_.prefix_sharing) donate_prefix(r);
+      if (opts_.prefix_sharing) donate_prefix(r);
     }
   }
 
@@ -1851,10 +1741,10 @@ bool BatchedEngine::step() {
   double step_energy = 0.0;
 
   maybe_preempt(step_idx, step_energy);
-  // Paged serving grows running requests to this step's page needs
-  // before admission, so admission never out-competes work already in
-  // flight for the pages its next token requires.
-  if (paged()) grow_active_paged(step_idx, step_energy);
+  // Grow running requests to this step's page needs before admission,
+  // so admission never out-competes work already in flight for the
+  // pages its next token requires.
+  grow_active_paged(step_idx, step_energy);
   std::vector<char> serial_admitted(tenants_.size(), 0);
   admit_pending(step_idx, step_energy, serial_admitted);
   bool step_prefill = false;

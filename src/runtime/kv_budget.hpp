@@ -10,11 +10,13 @@ namespace distmcu::runtime {
 /// ModelRegistry::add).
 using ModelId = int;
 
-/// Partitioning policy for the shared KV slot arena of a multi-model
+/// Partitioning policy for the shared KV page arena of a multi-model
 /// serving engine — the MCUBERT-style shared-pool discipline made
-/// pluggable. The engine owns the slots (a tenant-tagged mem::SlotArena)
-/// and asks the policy, at every admission point, whether a given model
-/// may take ONE more slot given everybody's occupancy and queued demand.
+/// pluggable. The engine owns the pages (a tenant-tagged
+/// mem::PagedKvArena; one page per request when a page spans the whole
+/// context) and asks the policy, at every grant, whether a given model
+/// may take ONE more page given everybody's occupancy and queued demand.
+/// The policy's "slots" below are those pages.
 /// Policies are stateless rankers, so one instance can be shared across
 /// engines and replay is deterministic by construction.
 ///

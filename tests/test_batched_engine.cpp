@@ -13,7 +13,6 @@
 #include <optional>
 #include <vector>
 
-#include "mem/arena.hpp"
 #include "model/kv_cache.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/inference_session.hpp"
@@ -885,71 +884,7 @@ TEST(BatchedEngineChunked, RejectsNegativeChunkTokens) {
                Error);
 }
 
-// --- KV pool / slot arena -------------------------------------------------
-
-TEST(SlotArena, ExhaustionReturnsNulloptNotUB) {
-  mem::Arena arena("l2.kv_pool", 4096);
-  mem::SlotArena slots(arena, "kv_set", 2, 1024);
-  EXPECT_EQ(arena.used(), 2048u);
-
-  const auto s0 = slots.acquire();
-  const auto s1 = slots.acquire();
-  ASSERT_TRUE(s0.has_value());
-  ASSERT_TRUE(s1.has_value());
-  EXPECT_NE(*s0, *s1);
-  EXPECT_EQ(slots.free(), 0);
-
-  const auto s2 = slots.acquire();
-  EXPECT_FALSE(s2.has_value());  // graceful reject
-
-  slots.release(*s0);
-  const auto s3 = slots.acquire();
-  ASSERT_TRUE(s3.has_value());
-  EXPECT_EQ(*s3, *s0);  // lowest-free-index policy
-
-  EXPECT_THROW(slots.release(*s1 + 5), Error);  // out of range
-  slots.release(*s1);
-  EXPECT_THROW(slots.release(*s1), Error);  // double release
-}
-
-TEST(SlotArena, ReclaimIsOwnerCheckedAndCounted) {
-  // The preemption path returns slots through reclaim(): an owner-
-  // checked release that additionally counts the slot as reclaimed,
-  // per tenant and in total. A plain release never bumps the counters.
-  mem::Arena arena("l2.kv_pool", 4096);
-  mem::SlotArena slots(arena, "kv_set", 2, 1024);
-  const auto s0 = slots.acquire(/*tenant=*/0);
-  const auto s1 = slots.acquire(/*tenant=*/1);
-  ASSERT_TRUE(s0.has_value() && s1.has_value());
-
-  EXPECT_THROW(slots.reclaim(*s0, /*tenant=*/1), Error);  // cross-tenant
-  EXPECT_EQ(slots.total_reclaimed(), 0);  // failed reclaim left no trace
-  EXPECT_EQ(slots.tenant_in_use(0), 1);
-
-  slots.reclaim(*s0, /*tenant=*/0);
-  EXPECT_EQ(slots.tenant_reclaimed(0), 1);
-  EXPECT_EQ(slots.tenant_reclaimed(1), 0);
-  EXPECT_EQ(slots.total_reclaimed(), 1);
-  EXPECT_EQ(slots.free(), 1);  // the slot really freed
-
-  slots.release(*s1, /*tenant=*/1);  // plain release: not a reclaim
-  EXPECT_EQ(slots.tenant_reclaimed(1), 0);
-  EXPECT_EQ(slots.total_reclaimed(), 1);
-  // Unseen tenant ids read as zero, never UB.
-  EXPECT_EQ(slots.tenant_reclaimed(7), 0);
-}
-
-TEST(SlotArena, PoolThatDoesNotFitThrowsPlanError) {
-  mem::Arena arena("l2.kv_pool", 1024);
-  EXPECT_THROW(mem::SlotArena(arena, "kv_set", 2, 1024), PlanError);
-}
-
-TEST(SlotArena, RejectsNonPositiveShapes) {
-  mem::Arena arena("l2.kv_pool", 1024);
-  EXPECT_THROW(mem::SlotArena(arena, "kv_set", -1, 64), Error);
-  EXPECT_THROW(mem::SlotArena(arena, "kv_set", 0, 64), Error);
-  EXPECT_THROW(mem::SlotArena(arena, "kv_set", 1, 0), Error);
-}
+// --- KV pool ---------------------------------------------------------------
 
 TEST(BatchedEngine, PoolExceedingL2BudgetThrowsPlanError) {
   // Full-capacity KV sets for every slot must fit the worst-case chip's
@@ -1174,10 +1109,13 @@ TEST(BatchedEngine, SingleTenantSheddingRefusesTheNewcomer) {
 
 TEST(BatchedEngine, PreemptionEvictsAndResumesBitExact) {
   // The tentpole property in one deterministic scenario: a long
-  // best-effort request is checkpointed out of the only KV slot when a
+  // best-effort request is checkpointed out of the only KV page when a
   // tight-deadline request would otherwise starve past its feasible
   // deadline; both token streams stay bit-identical to dedicated
   // generate() calls and the cycle/energy books still balance exactly.
+  // One page per context spelled both ways (0 and ar_context) must
+  // behave identically: the starved request's cache set comes back with
+  // its own model's victim.
   const auto cfg = streamed_llama();
   const InferenceSession session(cfg, 4);
   const auto layers = static_cast<Cycles>(cfg.num_layers);
@@ -1188,53 +1126,68 @@ TEST(BatchedEngine, PreemptionEvictsAndResumesBitExact) {
       session.run_block(model::Mode::prompt).report.block_cycles * layers;
   const Cycles est_b = prefill + per_req;  // prompt + (2-1) decode forwards
 
-  BatchedEngine engine(
-      session,
-      {.max_batch = 1,
-       .max_pending = 8,
-       .scheduler = std::make_shared<runtime::EdfScheduler>(),
-       .preemption = std::make_shared<runtime::DeadlineAwarePreemption>()});
-  const auto a = engine.submit({1, 2}, 12);  // best-effort, long
-  ASSERT_TRUE(a.has_value());
-  EXPECT_TRUE(engine.step());  // A admitted, one decode forward in
-  // B's deadline is feasible started now but blown by waiting for A's
-  // ten remaining decode forwards — the preemption trigger.
-  const auto b = engine.submit(
-      {3, 4}, 2, {.priority = 0, .deadline_cycles = est_b + 2 * per_req});
-  ASSERT_TRUE(b.has_value());
-  const auto results = engine.run_to_completion();
-  ASSERT_EQ(results.size(), 2u);
+  std::optional<runtime::ServingStats> first_stats;
+  for (const int page_tokens : {0, cfg.ar_context}) {
+    SCOPED_TRACE("kv_page_tokens " + std::to_string(page_tokens));
+    BatchedEngine engine(
+        session,
+        {.max_batch = 1,
+         .max_pending = 8,
+         .scheduler = std::make_shared<runtime::EdfScheduler>(),
+         .preemption = std::make_shared<runtime::DeadlineAwarePreemption>(),
+         .kv_page_tokens = page_tokens});
+    EXPECT_EQ(engine.page_tokens(0), cfg.ar_context);
+    const auto a = engine.submit({1, 2}, 12);  // best-effort, long
+    ASSERT_TRUE(a.has_value());
+    EXPECT_TRUE(engine.step());  // A admitted, one decode forward in
+    // B's deadline is feasible started now but blown by waiting for A's
+    // ten remaining decode forwards — the preemption trigger.
+    const auto b = engine.submit(
+        {3, 4}, 2, {.priority = 0, .deadline_cycles = est_b + 2 * per_req});
+    ASSERT_TRUE(b.has_value());
+    const auto results = engine.run_to_completion();
+    ASSERT_EQ(results.size(), 2u);
 
-  const auto& stats = engine.stats();
-  EXPECT_EQ(stats.preemptions, 1);
-  EXPECT_EQ(stats.resumes, 1);
-  EXPECT_GT(stats.preemption_cycles, 0u);
-  EXPECT_EQ(stats.per_model[0].preemptions, 1);
-  EXPECT_EQ(stats.per_model[0].resumes, 1);
-  EXPECT_EQ(stats.per_model[0].kv_slots_reclaimed, 1);
+    const auto& stats = engine.stats();
+    EXPECT_EQ(stats.preemptions, 1);
+    EXPECT_EQ(stats.resumes, 1);
+    EXPECT_GT(stats.preemption_cycles, 0u);
+    EXPECT_EQ(stats.per_model[0].preemptions, 1);
+    EXPECT_EQ(stats.per_model[0].resumes, 1);
+    EXPECT_EQ(stats.per_model[0].kv_slots_reclaimed, 1);
 
-  // B overtook A through the eviction and finished first.
-  EXPECT_EQ(results[0].id, *b);
-  EXPECT_EQ(result_for(results, *a).times_evicted, 1);
-  EXPECT_EQ(result_for(results, *b).times_evicted, 0);
+    // B overtook A through the eviction and finished first.
+    EXPECT_EQ(results[0].id, *b);
+    EXPECT_EQ(result_for(results, *a).times_evicted, 1);
+    EXPECT_EQ(result_for(results, *b).times_evicted, 0);
 
-  // Bit-exact streams despite the checkpoint/restore round trip.
-  EXPECT_EQ(result_for(results, *a).gen.tokens,
-            session.generate({1, 2}, 12).tokens);
-  EXPECT_EQ(result_for(results, *b).gen.tokens,
-            session.generate({3, 4}, 2).tokens);
+    // Bit-exact streams despite the checkpoint/restore round trip.
+    EXPECT_EQ(result_for(results, *a).gen.tokens,
+              session.generate({1, 2}, 12).tokens);
+    EXPECT_EQ(result_for(results, *b).gen.tokens,
+              session.generate({3, 4}, 2).tokens);
 
-  // Exact conservation: the eviction/resume traffic is charged to A,
-  // and per-request cycles/energy still sum to the engine totals.
-  Cycles cycle_sum = 0;
-  double energy_sum = 0.0;
-  for (const auto& r : results) {
-    cycle_sum += r.gen.total_cycles;
-    energy_sum += r.gen.total_energy_mj;
+    // Exact conservation: the eviction/resume traffic is charged to A,
+    // and per-request cycles/energy still sum to the engine totals.
+    Cycles cycle_sum = 0;
+    double energy_sum = 0.0;
+    for (const auto& r : results) {
+      cycle_sum += r.gen.total_cycles;
+      energy_sum += r.gen.total_energy_mj;
+    }
+    EXPECT_EQ(cycle_sum, stats.total_cycles);
+    EXPECT_NEAR(energy_sum, stats.total_energy_mj,
+                1e-9 * std::max(1.0, stats.total_energy_mj));
+
+    // Both spellings of one page per context are the same engine.
+    if (!first_stats.has_value()) {
+      first_stats = stats;
+    } else {
+      EXPECT_EQ(stats.total_cycles, first_stats->total_cycles);
+      EXPECT_EQ(stats.preemption_cycles, first_stats->preemption_cycles);
+      EXPECT_EQ(stats.total_energy_mj, first_stats->total_energy_mj);
+    }
   }
-  EXPECT_EQ(cycle_sum, stats.total_cycles);
-  EXPECT_NEAR(energy_sum, stats.total_energy_mj,
-              1e-9 * std::max(1.0, stats.total_energy_mj));
 }
 
 namespace {
@@ -1294,7 +1247,6 @@ TEST(BatchedEngine, PagedTokensIdenticalToSlotEngine) {
                                      .max_pending = 64,
                                      .prefill_chunk_tokens = chunk,
                                      .kv_page_tokens = page_tokens});
-      ASSERT_TRUE(engine.paged());
       EXPECT_EQ(engine.page_tokens(0), std::min(page_tokens, cfg.ar_context));
       std::vector<RequestId> ids;
       for (const auto& w : workloads) ids.push_back(*engine.submit(w.prompt, w.new_tokens));
@@ -1327,7 +1279,7 @@ TEST(BatchedEngine, PagedAdmitsMoreThanSlotsAtEqualKvBytes) {
   BatchedEngine paged_engine(session, {.max_batch = kPages,
                                        .max_pending = 64,
                                        .kv_page_tokens = kPageTokens});
-  ASSERT_EQ(slot_engine.kv_slots().pool_bytes(),
+  ASSERT_EQ(slot_engine.kv_pages().pool_bytes(),
             paged_engine.kv_pages().pool_bytes());
 
   // Six short requests: 2-token prompts decoding 3 tokens each peak at
@@ -1448,14 +1400,26 @@ TEST(BatchedEngine, PagedPrefixSharingSavesPromptCycles) {
 }
 
 TEST(BatchedEngine, PagedAccessorsAreModeChecked) {
+  // kv_page_tokens == 0 is one page per context: every request holds
+  // exactly one page, max_batch counts those pages, and prefix sharing
+  // (no shareable prefix in a whole-context page) stays off.
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
-  BatchedEngine slot_engine(session, {.max_batch = 2});
-  EXPECT_FALSE(slot_engine.paged());
-  EXPECT_EQ(slot_engine.page_tokens(0), 0);
-  EXPECT_THROW((void)slot_engine.kv_pages(), Error);
-  EXPECT_EQ(slot_engine.prefix_cache_pages(), 0);
-  BatchedEngine paged_engine(session, {.max_batch = 4, .kv_page_tokens = 8});
-  EXPECT_TRUE(paged_engine.paged());
-  EXPECT_THROW((void)paged_engine.kv_slots(), Error);
+  BatchedEngine whole(session, {.max_batch = 2,
+                                .prefill_chunk_tokens = 1,
+                                .prefix_sharing = true});
+  EXPECT_EQ(whole.page_tokens(0), cfg.ar_context);
+  EXPECT_EQ(whole.kv_pages().capacity(), 2);
+  const auto id = whole.submit({1, 2, 3}, 4);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_TRUE(whole.step());
+  EXPECT_EQ(whole.kv_pages().in_use(), 1);
+  (void)whole.run_to_completion();
+  EXPECT_EQ(whole.kv_pages().in_use(), 0);
+  EXPECT_EQ(whole.prefix_cache_entries(), 0);
+  EXPECT_EQ(whole.prefix_cache_pages(), 0);
+
+  BatchedEngine paged(session, {.max_batch = 4, .kv_page_tokens = 8});
+  EXPECT_EQ(paged.page_tokens(0), 8);
+  EXPECT_EQ(paged.kv_pages().capacity(), 4);
 }

@@ -344,15 +344,15 @@ TEST(MultiModel, StaticSplitNeverHandsSlotsAcrossModels) {
       EXPECT_STREQ(engine.kv_budget().name(), "static_split");
       auto jobs = make_jobs(seed);
       const auto probe = [](const BatchedEngine& e) {
-        EXPECT_LE(e.kv_slots().tenant_in_use(0), e.model_kv_quota(0));
-        EXPECT_LE(e.kv_slots().tenant_in_use(1), e.model_kv_quota(1));
+        EXPECT_LE(e.kv_pages().tenant_in_use(0), e.model_kv_quota(0));
+        EXPECT_LE(e.kv_pages().tenant_in_use(1), e.model_kv_quota(1));
       };
       (void)run_jobs(jobs, engine, probe);
-      EXPECT_LE(engine.kv_slots().tenant_high_water(0), 2);
-      EXPECT_LE(engine.kv_slots().tenant_high_water(1), 1);
+      EXPECT_LE(engine.kv_pages().tenant_high_water(0), 2);
+      EXPECT_LE(engine.kv_pages().tenant_high_water(1), 1);
       EXPECT_LE(engine.stats().per_model[0].kv_in_use_high_water, 2);
       EXPECT_LE(engine.stats().per_model[1].kv_in_use_high_water, 1);
-      EXPECT_EQ(engine.kv_slots().in_use(), 0);
+      EXPECT_EQ(engine.kv_pages().in_use(), 0);
     }
     repro.end(seed);
   }
@@ -419,8 +419,8 @@ TEST(MultiModel, WatermarkPolicyBorrowsIdleSlotsWithinReserves) {
     ASSERT_TRUE(engine.submit(0, {1 + i, 2, 3}, 4).has_value());
   }
   (void)engine.run_to_completion();
-  EXPECT_GT(engine.kv_slots().tenant_high_water(0), engine.model_kv_quota(0));
-  EXPECT_EQ(engine.kv_slots().in_use(), 0);
+  EXPECT_GT(engine.kv_pages().tenant_high_water(0), engine.model_kv_quota(0));
+  EXPECT_EQ(engine.kv_pages().in_use(), 0);
   EXPECT_EQ(engine.stats().completed, 6);
 }
 
@@ -437,8 +437,8 @@ TEST(MultiModel, ProportionalPolicyServesBothTenantsByDemand) {
   const auto results = engine.run_to_completion();
   EXPECT_EQ(static_cast<int>(results.size()), 10);
   check_per_model_attribution(engine, results);
-  EXPECT_GE(engine.kv_slots().tenant_high_water(0), 1);
-  EXPECT_GE(engine.kv_slots().tenant_high_water(1), 1);
+  EXPECT_GE(engine.kv_pages().tenant_high_water(0), 1);
+  EXPECT_GE(engine.kv_pages().tenant_high_water(1), 1);
 }
 
 TEST(MultiModel, EdfDeadlineOnOneModelPreemptsAdmissionOfAnother) {
@@ -669,6 +669,66 @@ TEST(MultiModelServing, PreemptionReclaimsBorrowedSlotAcrossModels) {
   check_per_model_attribution(engine, results);
 }
 
+TEST(MultiModelServing, CrossModelVictimGetsNoCacheSetCredit) {
+  // An evicted request's cache set returns to its OWN model's pool, so a
+  // starved request may only count on the set of a same-model victim.
+  // Two deployments of the generator, one whole-context page each
+  // (static split), both spellings of one page per context: a
+  // tight-deadline gen_a request starving behind gen_a's long request
+  // evicts that request — never gen_b's, although gen_b's request would
+  // free a page just the same and is the policy's preferred victim
+  // (fewer tokens generated, same best-effort band).
+  const auto& s = sessions();
+  const auto& cfg = s.gen.config();
+  const auto layers = static_cast<Cycles>(cfg.num_layers);
+  const auto ar = s.gen.run_block(model::Mode::autoregressive);
+  const Cycles per_req =
+      (ar.report.block_cycles - ar.report.breakdown.dma_l3_l2) * layers;
+  const Cycles prefill =
+      s.gen.run_block(model::Mode::prompt).report.block_cycles * layers;
+  for (const int page_tokens : {0, cfg.ar_context}) {
+    SCOPED_TRACE("kv_page_tokens " + std::to_string(page_tokens));
+    ModelRegistry reg;
+    const ModelId ga = reg.add(s.gen, "gen_a", /*chunk=*/0, /*quota=*/1);
+    const ModelId gb = reg.add(s.gen, "gen_b", /*chunk=*/0, /*quota=*/1);
+    BatchedEngine engine(
+        reg,
+        {.total_kv_slots = 2,
+         .max_pending = 8,
+         .scheduler = std::make_shared<runtime::EdfScheduler>(),
+         .preemption = std::make_shared<runtime::DeadlineAwarePreemption>(),
+         .kv_page_tokens = page_tokens});
+    const auto a = engine.submit(ga, {1, 2, 3}, 12);
+    ASSERT_TRUE(a.has_value());
+    EXPECT_TRUE(engine.step());
+    const auto b = engine.submit(gb, {4, 5, 6}, 12);
+    ASSERT_TRUE(b.has_value());
+    EXPECT_TRUE(engine.step());  // both decoding, a one token ahead
+    // Feasible if admitted now (prefill + one decode forward), lost
+    // waiting out a's remaining decode forwards.
+    const auto c = engine.submit(
+        ga, {7, 8}, 2, {.priority = 0, .deadline_cycles = prefill + 3 * per_req});
+    ASSERT_TRUE(c.has_value());
+    while (engine.step()) {}
+    const auto results = engine.finished();
+    ASSERT_EQ(results.size(), 3u);
+
+    const auto& stats = engine.stats();
+    EXPECT_EQ(stats.preemptions, 1);
+    EXPECT_EQ(stats.per_model[static_cast<std::size_t>(ga)].preemptions, 1);
+    EXPECT_EQ(stats.per_model[static_cast<std::size_t>(gb)].preemptions, 0);
+    EXPECT_EQ(result_for(results, *a).times_evicted, 1);
+    EXPECT_EQ(result_for(results, *b).times_evicted, 0);
+    EXPECT_EQ(result_for(results, *a).gen.tokens,
+              s.gen.generate({1, 2, 3}, 12).tokens);
+    EXPECT_EQ(result_for(results, *b).gen.tokens,
+              s.gen.generate({4, 5, 6}, 12).tokens);
+    EXPECT_EQ(result_for(results, *c).gen.tokens,
+              s.gen.generate({7, 8}, 2).tokens);
+    check_per_model_attribution(engine, results);
+  }
+}
+
 TEST(MultiModel, PagedStaticSplitNeverHandsPagesAcrossModels) {
   // Paged tentpole, multi-model: with the shared arena in pages and
   // per-tenant page quotas, the static split must keep zero cross-model
@@ -692,7 +752,6 @@ TEST(MultiModel, PagedStaticSplitNeverHandsPagesAcrossModels) {
                                  .max_pending = 16,
                                  .scheduler = runtime::make_scheduler(policy),
                                  .kv_page_tokens = 4});
-      ASSERT_TRUE(engine.paged());
       EXPECT_EQ(engine.page_tokens(0), 4);
       EXPECT_EQ(engine.page_tokens(1), 4);
       auto jobs = make_jobs(seed);

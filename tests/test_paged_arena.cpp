@@ -54,6 +54,14 @@ TEST(PagedKvArena, PoolLargerThanArenaThrows) {
   EXPECT_THROW(PagedKvArena(a, "kv_page", 8, 1024), PlanError);
 }
 
+TEST(PagedKvArena, RejectsNonPositiveShapes) {
+  Arena a("L2", 1024);
+  EXPECT_THROW(PagedKvArena(a, "kv_page", -1, 64), Error);
+  EXPECT_THROW(PagedKvArena(a, "kv_page", 0, 64), Error);
+  EXPECT_THROW(PagedKvArena(a, "kv_page", 1, 0), Error);
+  EXPECT_EQ(a.used(), 0u);  // a refused pool reserves nothing
+}
+
 TEST(PagedKvArena, RefcountSharingFreesOnlyAtLastRelease) {
   Arena a("L2", 1_MiB);
   PagedKvArena pages(a, "kv_page", 4, 512);
@@ -86,6 +94,7 @@ TEST(PagedKvArena, OwnerCheckedReleaseRejectsForeignTenant) {
   EXPECT_THROW(pages.release(p, 1), Error);  // wrong tenant
   EXPECT_THROW(pages.release(p + 1, 0), Error);  // free page
   EXPECT_THROW(pages.add_ref(p + 1), Error);     // ref on free page
+  EXPECT_THROW(pages.release(p + 5, 0), Error);  // out of range
   pages.release(p, 0);
   EXPECT_THROW(pages.release(p, 0), Error);  // double free
 }
@@ -94,6 +103,9 @@ TEST(PagedKvArena, ReclaimCountsOnlyWhenLastReferenceDrops) {
   Arena a("L2", 1_MiB);
   PagedKvArena pages(a, "kv_page", 4, 512);
   const int p = *pages.acquire(2);
+  EXPECT_THROW(pages.reclaim(p, 1), Error);  // cross-tenant
+  EXPECT_EQ(pages.total_reclaimed(), 0);     // failed reclaim left no trace
+  EXPECT_EQ(pages.tenant_in_use(2), 1);
   pages.add_ref(p);
   pages.reclaim(p, 2);  // a reference remains: not a reclaim yet
   EXPECT_EQ(pages.tenant_reclaimed(2), 0);
@@ -102,6 +114,8 @@ TEST(PagedKvArena, ReclaimCountsOnlyWhenLastReferenceDrops) {
   EXPECT_EQ(pages.tenant_reclaimed(2), 1);
   EXPECT_EQ(pages.total_reclaimed(), 1);
   EXPECT_EQ(pages.owner(p), PagedKvArena::kFreePage);
+  // Unseen tenant ids read as zero, never UB.
+  EXPECT_EQ(pages.tenant_reclaimed(7), 0);
 }
 
 TEST(PagedKvArena, PerTenantHighWaterTracksPhysicalPages) {

@@ -787,6 +787,46 @@ void make_paged(Scenario& sc, std::uint64_t seed, bool sharing) {
   sc.opts.prefix_sharing = sharing;
 }
 
+/// Shape a scenario so deadline-aware preemption has to fire: `slots`
+/// full-context best-effort requests (one per whole-context share of
+/// the KV budget) arrive first, then three short requests arrive one per
+/// step once those are decoding, each with a deadline its own service
+/// demand meets only when admitted promptly (one to three decode
+/// forwards of slack) — waiting for a long request's natural release
+/// would blow it. The queue is unbounded so the short requests reach
+/// the engine whatever the budget's occupancy.
+void add_preemption_pressure(Scenario& sc, const BatchedEngine& engine,
+                             int slots, std::uint64_t seed) {
+  util::Rng rng(seed * 0x94d049bb133111ebull + 5);
+  const auto& cfg = engine.model_config(0);
+  const Cycles per_decode =
+      engine.estimate_cost(0, 1, 2) - engine.estimate_cost(0, 1, 1);
+  for (int i = 0; i < slots; ++i) {
+    Scenario::Job job;
+    for (int t = 0; t < cfg.prompt_len; ++t) {
+      job.prompt.push_back(static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(cfg.vocab_size))));
+    }
+    job.new_tokens = cfg.ar_context - cfg.prompt_len;
+    sc.jobs.push_back(std::move(job));
+  }
+  for (int j = 0; j < 3; ++j) {
+    Scenario::Job job;
+    const int plen = 1 + static_cast<int>(rng.next_below(2));
+    for (int t = 0; t < plen; ++t) {
+      job.prompt.push_back(static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(cfg.vocab_size))));
+    }
+    job.new_tokens = 2;
+    // Every long request is past its prefill by then, whatever the
+    // chunk size.
+    job.submit_after_step = cfg.prompt_len + 1 + j;
+    job.slo.deadline_cycles = engine.estimate_cost(0, plen, 2) +
+                              static_cast<Cycles>(1 + j) * per_decode;
+    sc.jobs.push_back(std::move(job));
+  }
+}
+
 }  // namespace
 
 TEST(ServingInvariants, PagedRandomizedScenariosConservePages) {
@@ -805,7 +845,6 @@ TEST(ServingInvariants, PagedRandomizedScenariosConservePages) {
     make_paged(sc, seed, sharing);
     const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
     BatchedEngine engine(*dep.session, sc.opts);
-    ASSERT_TRUE(engine.paged());
     const auto& pages = engine.kv_pages();
 
     // Stepped run with per-boundary arena checks (run_scenario's loop,
@@ -879,22 +918,29 @@ TEST(ServingInvariants, PagedPreemptionConservesPagesUnderEveryPolicy) {
   // Preemption + paging: checkpointed requests give back every page
   // (shared pages only when theirs was the last reference), resume
   // bit-exactly, and the books still balance — under all three
-  // admission policies, prefix sharing on and off.
+  // admission policies, prefix sharing on and off. Every scenario is
+  // shaped to force evictions, and the sweep proves they happened both
+  // with pages finer than a context and at one page per context.
   const std::uint64_t kSeeds = invariant_seed_count(15);
   SeedReproLog repro(
       "./test_serving_invariants",
       "ServingInvariants.PagedPreemptionConservesPagesUnderEveryPolicy");
+  int fine_page_preemptions = 0;   // page_tokens < ar_context
+  int whole_page_preemptions = 0;  // page_tokens == ar_context
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     repro.begin();
     for (const auto policy : {SchedulePolicy::fifo, SchedulePolicy::priority,
                               SchedulePolicy::edf}) {
       Scenario sc = make_scenario(seed);
       decorate_slo(sc, seed);
+      const int slots = sc.opts.max_batch;
       make_paged(sc, seed, /*sharing=*/(seed % 2) == 0);
+      sc.opts.max_pending = 64;
       sc.opts.scheduler = runtime::make_scheduler(policy);
       sc.opts.preemption = std::make_shared<runtime::DeadlineAwarePreemption>();
       const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
       BatchedEngine engine(*dep.session, sc.opts);
+      add_preemption_pressure(sc, engine, slots, seed);
       const auto results = run_scenario(sc, engine);
       SCOPED_TRACE(std::string("policy ") + runtime::policy_name(policy));
       check_invariants(sc, engine, results, seed, /*fifo_admission=*/false);
@@ -902,6 +948,10 @@ TEST(ServingInvariants, PagedPreemptionConservesPagesUnderEveryPolicy) {
       EXPECT_EQ(engine.kv_pages().in_use(), engine.prefix_cache_pages());
       EXPECT_EQ(engine.kv_pages().total_reclaimed(),
                 engine.stats().per_model[0].kv_slots_reclaimed);
+      const bool whole_page =
+          engine.page_tokens(0) == dep.session->config().ar_context;
+      (whole_page ? whole_page_preemptions : fine_page_preemptions) +=
+          engine.stats().preemptions;
       if (dep.cheap_numerics) {
         for (const auto& job : sc.jobs) {
           if (!job.id.has_value()) continue;
@@ -913,4 +963,7 @@ TEST(ServingInvariants, PagedPreemptionConservesPagesUnderEveryPolicy) {
     }
     repro.end(seed);
   }
+  // Non-vacuity: the sweep exercised eviction in both page regimes.
+  EXPECT_GT(fine_page_preemptions, 0);
+  EXPECT_GT(whole_page_preemptions, 0);
 }

@@ -76,6 +76,10 @@ The simulator is an analytic, integer-cycle model seeded
 deterministically, so current and baseline numbers agree exactly when
 the code is unchanged; the tolerance only absorbs intentional small
 drifts (retuned constants) without letting real regressions through.
+Every ``--tolerance`` bound is two-sided: a lower- or higher-is-better
+field that moves beyond it in the good direction fails as well, with a
+message to regenerate the baseline in the same change — a checkpoint
+cost that silently drops to zero must not pass as an improvement.
 Regenerate a baseline with, e.g.:
 
     ./build/serving_throughput --json bench/baselines/serving_baseline.json
@@ -125,9 +129,20 @@ def index_rows(errors, section, rows, key):
     return out
 
 
+def improved_msg(ctx, field, cval, bval, tol, moved, side):
+    return (f"{ctx}.{field}: {cval:.6g} {moved} more than {tol:.0%} {side} "
+            f"baseline {bval:.6g} in the better direction; the workload is "
+            f"deterministic, so regenerate the baseline in the same change "
+            f"if the improvement is real")
+
+
 def check_rows(errors, section, current, baseline, key, lower_is_better,
                higher_is_better, tol, pinned=()):
-    """Field-wise drift bounds for baseline-keyed row lists. Fields in
+    """Field-wise drift bounds for baseline-keyed row lists, two-sided:
+    every gated field is simulated and deterministic, so a move beyond
+    `tol` in the GOOD direction fails too — an improvement lands with
+    its regenerated baseline in the same change, or it is a bug (a cost
+    that silently stopped being charged reads as a win). Fields in
     `pinned` must match the baseline exactly (deterministic counts)."""
     if current is None:
         return
@@ -153,6 +168,9 @@ def check_rows(errors, section, current, baseline, key, lower_is_better,
                 fail(errors,
                      f"{ctx}.{field}: {cval:.6g} fell more than {tol:.0%} "
                      f"below baseline {brow[field]:.6g}")
+            elif cval > brow[field] * (1.0 + tol):
+                fail(errors, improved_msg(ctx, field, cval, brow[field], tol,
+                                          "rose", "above"))
         for field in lower_is_better:
             cval = require(errors, crow, field, ctx)
             if cval is None:
@@ -161,6 +179,9 @@ def check_rows(errors, section, current, baseline, key, lower_is_better,
                 fail(errors,
                      f"{ctx}.{field}: {cval:.6g} grew more than {tol:.0%} "
                      f"above baseline {brow[field]:.6g}")
+            elif cval < brow[field] * (1.0 - tol):
+                fail(errors, improved_msg(ctx, field, cval, brow[field], tol,
+                                          "fell", "below"))
         for field in pinned:
             cval = require(errors, crow, field, ctx)
             if cval is None:
