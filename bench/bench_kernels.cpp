@@ -10,6 +10,7 @@
 #include "kernels/gemm.hpp"
 #include "kernels/ops.hpp"
 #include "model/config.hpp"
+#include "model/embedding.hpp"
 #include "model/weights.hpp"
 #include "noc/topology.hpp"
 #include "partition/distributed_block.hpp"
@@ -224,6 +225,26 @@ BENCHMARK(BM_BlockForwardStacked)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// Tied LM head of M hidden rows at the serving benchmarks' shape
+// (V = E = 512): Embedding::logits, one kernels::gemm over the [E, V]
+// table. M = 1 is a single request's greedy pick; M = 8 is one
+// step's stacked decode rows.
+static void BM_LmHead(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  auto cfg = model::TransformerConfig::tiny_llama_42m();
+  cfg.vocab_size = 512;
+  const model::Embedding emb(cfg, 3);
+  util::Rng rng(13);
+  model::Tensor x(m, cfg.embed_dim);
+  x.random_init(rng, 1.0f);
+  for (auto _ : state) {
+    const model::Tensor lg = emb.logits(x);
+    benchmark::DoNotOptimize(lg.span().data());
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+}
+BENCHMARK(BM_LmHead)->Arg(1)->Arg(8)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 // One fork-join of N empty chip tasks on the host worker pool: the fixed
 // cost partition::kConcurrentChipMacs must amortize before a block phase

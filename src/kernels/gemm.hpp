@@ -27,6 +27,16 @@ void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c
           int m, int n, int k, std::span<const float> bias = {});
 
 /// C[M,N] = A[M,K] * B^T where B is [N,K] row-major (the Q*K^T pattern).
+///
+/// Exactness contract: every C element is one scalar accumulator that
+/// starts at +0 and adds A[i,p] * B[j,p] in ascending p, rounding once
+/// per multiply and once per add, with no fused multiply-add. Such an
+/// accumulator is never -0 (+0 + -0 is +0, and exact cancellation rounds
+/// to +0), so adding a zero product changes nothing: when B is finite,
+/// C is bit-equal to gemm(A, B^T), which skips zero A values instead.
+/// model::Embedding relies on this to run its tied head through gemm on
+/// a transposed table. The dot-product loop neither vectorizes nor
+/// blocks; prefer gemm on a [K,N] layout for large N.
 void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float> c,
              int m, int n, int k);
 

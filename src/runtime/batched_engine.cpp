@@ -1081,12 +1081,12 @@ void BatchedEngine::decode_rows(ModelId m,
     tokens.push_back(r.next);
     segments.push_back(segment_of(r, 1, r.pos));
   }
-  const model::Tensor h = forward_rows(m, tokens, segments);
-  const auto& emb = tenants_[static_cast<std::size_t>(m)].session->embedding();
+  const std::vector<int> picks =
+      tenants_[static_cast<std::size_t>(m)].session->embedding().greedy_rows(
+          forward_rows(m, tokens, segments));
   for (std::size_t j = 0; j < decoders.size(); ++j) {
     Inflight& r = active_[decoders[j]];
-    const int row = static_cast<int>(j);
-    r.next = emb.greedy_next(h.slice_rows(row, row + 1));
+    r.next = picks[j];
     ++r.pos;
   }
 }
@@ -1552,6 +1552,10 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
   }
   if (!chunk_runs.empty()) {
     const model::Tensor h = forward_rows(m, chunk_tokens, chunk_segments);
+    // Requests that finish prefill and go on to decode pick their first
+    // token from their last prompt row; one head GEMM serves all of them.
+    std::vector<std::size_t> pickers;
+    std::vector<int> last_rows;
     int row_end = 0;
     for (std::size_t j = 0; j < chunk_runs.size(); ++j) {
       Inflight& r = active_[chunk_runs[j].req];
@@ -1561,10 +1565,19 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
       r.tokens = r.prompt;
       r.pos = static_cast<int>(r.prompt.size());
       if (r.new_tokens > 0) {
-        r.next = t.session->embedding().greedy_next(
-            h.slice_rows(row_end - 1, row_end));
+        pickers.push_back(chunk_runs[j].req);
+        last_rows.push_back(row_end - 1);
       }
       if (opts_.prefix_sharing) donate_prefix(r);
+    }
+    if (!pickers.empty()) {
+      model::Tensor last(static_cast<int>(last_rows.size()), h.cols());
+      for (std::size_t j = 0; j < last_rows.size(); ++j) {
+        const auto src = h.row(last_rows[j]);
+        std::copy(src.begin(), src.end(), last.row(static_cast<int>(j)).begin());
+      }
+      const std::vector<int> picks = t.session->embedding().greedy_rows(last);
+      for (std::size_t j = 0; j < pickers.size(); ++j) active_[pickers[j]].next = picks[j];
     }
   }
 

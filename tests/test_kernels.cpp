@@ -53,6 +53,17 @@ TEST(Gemm, NtMatchesExplicitTranspose) {
   std::vector<float> bt(static_cast<std::size_t>(n * p));  // B^T stored [n,p]
   for (auto& v : a) v = rng.uniform(-1, 1);
   for (auto& v : bt) v = rng.uniform(-1, 1);
+  // Zeros of both signs in A: gemm skips them, gemm_nt adds their +-0
+  // products to an accumulator that is never -0, so the bits still agree.
+  // Row 4 is all -0 and B's column 0 all positive: every product there
+  // is -0, and the sum must still be +0.
+  a[1] = 0.0f;
+  a[static_cast<std::size_t>(p + 4)] = -0.0f;
+  a[static_cast<std::size_t>(2 * p + 8)] = 0.0f;
+  for (int i = 0; i < p; ++i) a[static_cast<std::size_t>(4 * p + i)] = -0.0f;
+  for (int i = 0; i < p; ++i) {
+    bt[static_cast<std::size_t>(i)] = std::fabs(bt[static_cast<std::size_t>(i)]);
+  }
   // Build B [p,n] explicitly.
   std::vector<float> b(static_cast<std::size_t>(p * n));
   for (int i = 0; i < p; ++i) {
@@ -64,7 +75,10 @@ TEST(Gemm, NtMatchesExplicitTranspose) {
   std::vector<float> c2(static_cast<std::size_t>(m * n));
   k::gemm(a, b, c1, m, n, p);
   k::gemm_nt(a, bt, c2, m, n, p);
-  for (std::size_t i = 0; i < c1.size(); ++i) EXPECT_NEAR(c1[i], c2[i], 1e-5);
+  EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)), 0);
+  for (int j = 0; j < n; ++j) {  // the all-zero row sums to +0, not -0
+    EXPECT_FALSE(std::signbit(c2[static_cast<std::size_t>(4 * n + j)]));
+  }
 }
 
 TEST(Gemm, GemvEqualsSingleRowGemm) {

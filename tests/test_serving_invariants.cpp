@@ -27,6 +27,7 @@
 #include "invariant_env.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/inference_session.hpp"
+#include "runtime/model_registry.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/steady_state.hpp"
 #include "util/check.hpp"
@@ -111,6 +112,7 @@ struct Scenario {
   int deployment = 0;
   BatchedEngine::Options opts;
   struct Job {
+    runtime::ModelId model = 0;  // tenant; multi-tenant legs only
     std::vector<int> prompt;
     int new_tokens = 0;
     int submit_after_step = 0;  // arrival pattern: 0 = before serving
@@ -177,7 +179,7 @@ std::vector<RequestResult> run_scenario(Scenario& sc, BatchedEngine& engine) {
     bool submitted_any = false;
     for (auto& job : sc.jobs) {
       if (job.attempted || job.submit_after_step > step_idx) continue;
-      job.id = engine.submit(job.prompt, job.new_tokens, job.slo);
+      job.id = engine.submit(job.model, job.prompt, job.new_tokens, job.slo);
       job.attempted = true;
       submitted_any = true;
     }
@@ -605,63 +607,99 @@ TEST(ServingInvariants, OverloadScenariosConserveEveryRequest) {
   // once: offered == accepted + rejected, accepted == completed + shed,
   // and the rejection reasons partition the rejects. The cycle/energy
   // books must balance over the completions alone (shed requests were
-  // never admitted, so they carry no charge).
+  // never admitted, so they carry no charge). Fair shedding only ever
+  // drops another tenant's request, so every scenario also runs as a
+  // two-tenant leg: the same session deployed twice, every third job on
+  // the second tenant.
   const std::uint64_t kSeeds = invariant_seed_count(40);
   SeedReproLog repro("./test_serving_invariants",
                      "ServingInvariants.OverloadScenariosConserveEveryRequest");
   const int pending_bounds[] = {0, 1, 64};
+  int shed_total = 0;
+  int queue_full_total = 0;
+  int hopeless_total = 0;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     repro.begin();
     for (const int max_pending : pending_bounds) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " max_pending " +
-                   std::to_string(max_pending));
-      Scenario sc = make_scenario(seed);
-      decorate_slo(sc, seed);
-      sc.opts.max_pending = max_pending;
-      sc.opts.fair_shedding = true;
-      sc.opts.fail_fast_deadlines = (seed % 2) == 0;
-      const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
-      BatchedEngine engine(*dep.session, sc.opts);
-      const auto results = run_scenario(sc, engine);
-      const ServingStats& stats = engine.stats();
+      for (const int tenants : {1, 2}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " max_pending " +
+                     std::to_string(max_pending) + " tenants " +
+                     std::to_string(tenants));
+        Scenario sc = make_scenario(seed);
+        decorate_slo(sc, seed);
+        sc.opts.max_pending = max_pending;
+        sc.opts.fair_shedding = true;
+        sc.opts.fail_fast_deadlines = (seed % 2) == 0;
+        const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
+        runtime::ModelRegistry registry;
+        std::unique_ptr<BatchedEngine> owned;
+        if (tenants == 1) {
+          owned = std::make_unique<BatchedEngine>(*dep.session, sc.opts);
+        } else {
+          for (const char* name : {"a", "b"}) {
+            (void)registry.add(*dep.session, name, sc.opts.prefill_chunk_tokens);
+          }
+          for (std::size_t j = 0; j < sc.jobs.size(); ++j) {
+            sc.jobs[j].model = j % 3 == 2 ? 1 : 0;
+          }
+          owned = std::make_unique<BatchedEngine>(
+              registry,
+              BatchedEngine::MultiOptions{
+                  .total_kv_slots = std::max(2, sc.opts.max_batch),
+                  .max_pending = max_pending,
+                  .fail_fast_deadlines = sc.opts.fail_fast_deadlines,
+                  .fair_shedding = true});
+        }
+        BatchedEngine& engine = *owned;
+        const auto results = run_scenario(sc, engine);
+        const ServingStats& stats = engine.stats();
 
-      const int offered = static_cast<int>(sc.jobs.size());
-      int accepted = 0;
-      for (const auto& job : sc.jobs) accepted += job.id.has_value() ? 1 : 0;
-      EXPECT_EQ(stats.rejected, offered - accepted);
-      EXPECT_EQ(stats.rejected,
-                stats.rejected_queue_full + stats.rejected_hopeless_deadline);
-      if (!sc.opts.fail_fast_deadlines) {
-        EXPECT_EQ(stats.rejected_hopeless_deadline, 0);
-      }
-      EXPECT_EQ(stats.completed, accepted - stats.shed);
-      EXPECT_EQ(static_cast<int>(results.size()), stats.completed);
-      EXPECT_EQ(static_cast<int>(engine.shed_ids().size()), stats.shed);
-      EXPECT_EQ(engine.active_requests(), 0);
-      EXPECT_EQ(engine.pending_requests(), 0);
+        const int offered = static_cast<int>(sc.jobs.size());
+        int accepted = 0;
+        for (const auto& job : sc.jobs) accepted += job.id.has_value() ? 1 : 0;
+        EXPECT_EQ(stats.rejected, offered - accepted);
+        EXPECT_EQ(stats.rejected,
+                  stats.rejected_queue_full + stats.rejected_hopeless_deadline);
+        if (!sc.opts.fail_fast_deadlines) {
+          EXPECT_EQ(stats.rejected_hopeless_deadline, 0);
+        }
+        EXPECT_EQ(stats.completed, accepted - stats.shed);
+        EXPECT_EQ(static_cast<int>(results.size()), stats.completed);
+        EXPECT_EQ(static_cast<int>(engine.shed_ids().size()), stats.shed);
+        EXPECT_EQ(engine.active_requests(), 0);
+        EXPECT_EQ(engine.pending_requests(), 0);
+        shed_total += stats.shed;
+        queue_full_total += stats.rejected_queue_full;
+        hopeless_total += stats.rejected_hopeless_deadline;
 
-      // Shed ids were accepted, and never finish.
-      for (const RequestId shed : engine.shed_ids()) {
-        EXPECT_TRUE(std::any_of(
-            sc.jobs.begin(), sc.jobs.end(),
-            [&](const auto& j) { return j.id && *j.id == shed; }));
-        EXPECT_FALSE(std::any_of(
-            results.begin(), results.end(),
-            [&](const RequestResult& r) { return r.id == shed; }));
-      }
+        // Shed ids were accepted, and never finish.
+        for (const RequestId shed : engine.shed_ids()) {
+          EXPECT_TRUE(std::any_of(
+              sc.jobs.begin(), sc.jobs.end(),
+              [&](const auto& j) { return j.id && *j.id == shed; }));
+          EXPECT_FALSE(std::any_of(
+              results.begin(), results.end(),
+              [&](const RequestResult& r) { return r.id == shed; }));
+        }
 
-      Cycles cycle_sum = 0;
-      double energy_sum = 0.0;
-      for (const auto& r : results) {
-        cycle_sum += r.gen.total_cycles;
-        energy_sum += r.gen.total_energy_mj;
+        Cycles cycle_sum = 0;
+        double energy_sum = 0.0;
+        for (const auto& r : results) {
+          cycle_sum += r.gen.total_cycles;
+          energy_sum += r.gen.total_energy_mj;
+        }
+        EXPECT_EQ(cycle_sum, stats.total_cycles);
+        EXPECT_NEAR(energy_sum, stats.total_energy_mj,
+                    1e-9 * std::max(1.0, energy_sum));
       }
-      EXPECT_EQ(cycle_sum, stats.total_cycles);
-      EXPECT_NEAR(energy_sum, stats.total_energy_mj,
-                  1e-9 * std::max(1.0, energy_sum));
     }
     repro.end(seed);
   }
+  // Every overload path must have fired somewhere in the sweep, or its
+  // conservation checks above are vacuous.
+  EXPECT_GT(shed_total, 0);
+  EXPECT_GT(queue_full_total, 0);
+  EXPECT_GT(hopeless_total, 0);
 }
 
 TEST(ServingInvariants, PreemptionKeepsEveryInvariantUnderEveryPolicy) {
@@ -787,6 +825,27 @@ void make_paged(Scenario& sc, std::uint64_t seed, bool sharing) {
   sc.opts.prefix_sharing = sharing;
 }
 
+/// Start every job's prompt with one common prefix, of a drawn length
+/// that often ends mid-page (an adopter of such a prefix forks its
+/// partial last page copy-on-write); a prompt too short to hold the
+/// prefix and one token of its own is lengthened to do so.
+void share_prompt_prefix(Scenario& sc, std::uint64_t seed) {
+  const auto& cfg = deployments()[static_cast<std::size_t>(sc.deployment)]
+                        .session->config();
+  util::Rng rng(seed * 0xbf58476d1ce4e5b9ull + 7);
+  const auto token = [&] {
+    return static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(cfg.vocab_size)));
+  };
+  std::vector<int> prefix(
+      1 + rng.next_below(static_cast<std::uint64_t>(cfg.prompt_len - 1)));
+  for (int& t : prefix) t = token();
+  for (auto& job : sc.jobs) {
+    while (job.prompt.size() <= prefix.size()) job.prompt.push_back(token());
+    std::copy(prefix.begin(), prefix.end(), job.prompt.begin());
+  }
+}
+
 /// Shape a scenario so deadline-aware preemption has to fire: `slots`
 /// full-context best-effort requests (one per whole-context share of
 /// the KV budget) arrive first, then three short requests arrive one per
@@ -835,14 +894,19 @@ TEST(ServingInvariants, PagedRandomizedScenariosConservePages) {
   // stays consistent at every step boundary (refs >= physical pages in
   // use >= the registry's pins), and a drained engine holds exactly the
   // registry's pinned pages — zero page leakage from served requests.
+  // Sharing scenarios draw every page size and give their prompts a
+  // common prefix, so adoption — whole-page and copy-on-write — runs.
   const std::uint64_t kSeeds = invariant_seed_count(60);
   SeedReproLog repro("./test_serving_invariants",
                      "ServingInvariants.PagedRandomizedScenariosConservePages");
+  int prefix_hits = 0;
+  int cow_forks = 0;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     repro.begin();
     const bool sharing = (seed % 2) == 1;
     Scenario sc = make_scenario(seed);
-    make_paged(sc, seed, sharing);
+    make_paged(sc, seed / 2, sharing);
+    if (sharing) share_prompt_prefix(sc, seed);
     const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
     BatchedEngine engine(*dep.session, sc.opts);
     const auto& pages = engine.kv_pages();
@@ -885,8 +949,12 @@ TEST(ServingInvariants, PagedRandomizedScenariosConservePages) {
       EXPECT_EQ(pages.total_refs(), 0);
       EXPECT_EQ(engine.prefix_cache_entries(), 0);
     }
+    prefix_hits += engine.stats().prefix_hits;
+    cow_forks += engine.stats().cow_forks;
     repro.end(seed);
   }
+  EXPECT_GT(prefix_hits, 0);
+  EXPECT_GT(cow_forks, 0);
 }
 
 TEST(ServingInvariants, PagedStreamsIdenticalAcrossSharingAndSlotMode) {

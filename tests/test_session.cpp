@@ -4,13 +4,18 @@
 // embedding, and the steady-state multi-block simulation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
+#include "kernels/gemm.hpp"
 #include "model/embedding.hpp"
 #include "model/reference_model.hpp"
 #include "runtime/inference_session.hpp"
 #include "runtime/steady_state.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 using namespace distmcu;
 using model::Mode;
@@ -82,6 +87,88 @@ TEST(Embedding, GreedyPicksArgmax) {
     if (lg.at(0, v) > lg.at(0, best)) best = v;
   }
   EXPECT_EQ(emb.greedy_next(x), best);
+}
+
+namespace {
+
+model::Embedding make_embedding(int vocab, int embed, std::uint64_t seed) {
+  TransformerConfig cfg = small_llama();
+  cfg.vocab_size = vocab;
+  cfg.embed_dim = embed;
+  return {cfg, seed};
+}
+
+// Hidden rows that exercise the head's exactness corners: a plain row,
+// zeros of both signs mixed with subnormal and large values, an all-zero
+// row, and a row large enough that some logits overflow to +-inf.
+model::Tensor corner_hidden_rows(int embed, std::uint64_t seed) {
+  util::Rng rng(seed);
+  model::Tensor h(5, embed);
+  h.random_init(rng, 1.0f);
+  for (int e = 0; e < embed; ++e) {
+    switch (e % 6) {
+      case 0: h.at(1, e) = 0.0f; break;
+      case 1: h.at(1, e) = -0.0f; break;
+      case 2: h.at(1, e) = std::numeric_limits<float>::denorm_min() * static_cast<float>(e); break;
+      case 3: h.at(1, e) = 1e30f; break;
+      case 4: h.at(1, e) = -3e35f; break;
+      default: break;
+    }
+    h.at(2, e) = e % 2 == 0 ? 0.0f : -0.0f;
+    h.at(3, e) = std::numeric_limits<float>::max();
+    if (e % 4 == 0) h.at(4, e) = 0.0f;
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST(Embedding, LogitsBitEqualTiedGemmNt) {
+  for (const auto& [vocab, embed] : {std::pair{512, 512}, std::pair{128, 32}}) {
+    const model::Embedding emb = make_embedding(vocab, embed, 11);
+    ASSERT_EQ(emb.vocab_size(), vocab);
+    ASSERT_EQ(emb.embed_dim(), embed);
+    std::vector<int> ids(static_cast<std::size_t>(vocab));
+    for (int v = 0; v < vocab; ++v) ids[static_cast<std::size_t>(v)] = v;
+    const model::Tensor table = emb.lookup(ids);  // the tied [V, E] table
+    // The transposed storage keeps the token-major draws of a [V, E]
+    // random_init, value for value.
+    util::Rng rng(11 ^ 0xe5b5u);
+    model::Tensor drawn(vocab, embed);
+    drawn.random_init(rng, 1.0f / std::sqrt(static_cast<float>(embed)));
+    EXPECT_EQ(std::memcmp(table.span().data(), drawn.span().data(),
+                          drawn.size() * sizeof(float)),
+              0);
+    const model::Tensor h = corner_hidden_rows(embed, 5);
+    const model::Tensor lg = emb.logits(h);
+    std::vector<float> ref(lg.size());
+    kernels::gemm_nt(h.span(), table.span(), ref, h.rows(), vocab, embed);
+    EXPECT_EQ(std::memcmp(lg.span().data(), ref.data(), ref.size() * sizeof(float)), 0)
+        << "V=" << vocab << " E=" << embed;
+    for (int v = 0; v < vocab; ++v) EXPECT_FALSE(std::signbit(lg.at(2, v)));
+  }
+}
+
+TEST(Embedding, GreedyRowsMatchPerRowGreedyNext) {
+  const model::Embedding emb = make_embedding(512, 512, 11);
+  const model::Tensor h = corner_hidden_rows(512, 5);
+  const std::vector<int> picks = emb.greedy_rows(h);
+  ASSERT_EQ(picks.size(), static_cast<std::size_t>(h.rows()));
+  for (int r = 0; r < h.rows(); ++r) {
+    EXPECT_EQ(picks[static_cast<std::size_t>(r)], emb.greedy_next(h.slice_rows(r, r + 1)))
+        << "row " << r;
+  }
+  // Ties go to the lowest index: every logit of the all-zero row is +0,
+  // and the overflowing row reaches +inf at several tokens.
+  EXPECT_EQ(picks[2], 0);
+  const model::Tensor lg = emb.logits(h);
+  std::vector<int> inf_tokens;
+  for (int v = 0; v < lg.cols(); ++v) {
+    if (lg.at(3, v) == std::numeric_limits<float>::infinity()) inf_tokens.push_back(v);
+  }
+  ASSERT_GE(inf_tokens.size(), 2u);
+  EXPECT_EQ(picks[3], inf_tokens.front());
+  EXPECT_EQ(emb.greedy_next(h), picks.back());
 }
 
 TEST(Session, BlockResultConsistent) {
