@@ -4,6 +4,7 @@
 // overheads and provides a regression baseline for the numeric kernels.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
 #include "kernels/attention.hpp"
@@ -11,6 +12,7 @@
 #include "kernels/ops.hpp"
 #include "model/config.hpp"
 #include "model/embedding.hpp"
+#include "model/kv_cache.hpp"
 #include "model/weights.hpp"
 #include "noc/topology.hpp"
 #include "partition/distributed_block.hpp"
@@ -142,18 +144,36 @@ static void BM_Softmax(benchmark::State& state) {
 }
 BENCHMARK(BM_Softmax)->Arg(128)->Arg(512);
 
+// One decode row of one chip's attention, read in place: 4 heads of
+// p = 8 (the fleet-sized blocks) or p = 64 (TinyLlama), each reading its
+// columns of a [48, 4p] KvCache and writing its slice of the context row
+// (what partition::DistributedBlock::attend_segment runs per head).
 static void BM_AttentionHead(benchmark::State& state) {
-  const int s = static_cast<int>(state.range(0)), p = 64;
-  const auto q = random_vec(static_cast<std::size_t>(s * p), 4);
-  const auto k = random_vec(static_cast<std::size_t>(s * p), 5);
-  const auto v = random_vec(static_cast<std::size_t>(s * p), 6);
-  std::vector<float> out(static_cast<std::size_t>(s * p));
+  const int p = static_cast<int>(state.range(0));
+  constexpr int kHeads = 4;
+  constexpr int kCached = 48;
+  const int pw = kHeads * p;
+  model::KvCache cache(kCached, pw);
+  for (int pos = 0; pos < kCached; ++pos) {
+    const auto k = random_vec(static_cast<std::size_t>(pw), 100 + pos);
+    const auto v = random_vec(static_cast<std::size_t>(pw), 200 + pos);
+    cache.append(k, v);
+  }
+  const auto q = random_vec(static_cast<std::size_t>(pw), 4);
+  std::vector<float> ctx(static_cast<std::size_t>(pw));
+  const std::span<const float> keys = cache.k();
+  const std::span<const float> values = cache.v();
   for (auto _ : state) {
-    kernels::attention_head(q, k, v, out, s, s, p, true, 0);
-    benchmark::DoNotOptimize(out.data());
+    for (int h = 0; h < kHeads; ++h) {
+      const auto c0 = static_cast<std::size_t>(h * p);
+      kernels::attention_head(std::span<const float>(q).subspan(c0), pw, keys.subspan(c0),
+                              values.subspan(c0), pw, std::span<float>(ctx).subspan(c0), pw,
+                              1, kCached, p, /*causal=*/true, kCached - 1);
+    }
+    benchmark::DoNotOptimize(ctx.data());
   }
 }
-BENCHMARK(BM_AttentionHead)->Arg(16)->Arg(128);
+BENCHMARK(BM_AttentionHead)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 static void BM_TimedBlockSimulation(benchmark::State& state) {
   const int chips = static_cast<int>(state.range(0));

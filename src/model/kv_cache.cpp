@@ -32,25 +32,6 @@ std::span<const float> KvCache::v() const {
                                         static_cast<std::size_t>(dim_));
 }
 
-namespace {
-/// Columns [c0, c1) of the first `length` rows of `store`, one row copy each.
-Tensor head_slice(const Tensor& store, int length, int c0, int c1) {
-  DISTMCU_CHECK(length > 0, "KvCache: slice of an empty cache");
-  DISTMCU_CHECK(0 <= c0 && c0 < c1 && c1 <= store.cols(), "KvCache: bad column range");
-  Tensor out(length, c1 - c0);
-  for (int r = 0; r < length; ++r) {
-    const auto src = store.row(r).subspan(static_cast<std::size_t>(c0),
-                                          static_cast<std::size_t>(c1 - c0));
-    std::copy(src.begin(), src.end(), out.row(r).begin());
-  }
-  return out;
-}
-}  // namespace
-
-Tensor KvCache::k_slice(int c0, int c1) const { return head_slice(k_store_, length_, c0, c1); }
-
-Tensor KvCache::v_slice(int c0, int c1) const { return head_slice(v_store_, length_, c0, c1); }
-
 void KvCache::copy_state_from(const KvCache& src) {
   DISTMCU_CHECK(src.max_positions_ == max_positions_ && src.dim_ == dim_,
               "KvCache::copy_state_from: shape mismatch");

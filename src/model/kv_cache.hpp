@@ -39,14 +39,11 @@ class KvCache {
   [[nodiscard]] int dim() const { return dim_; }
   [[nodiscard]] int capacity() const { return max_positions_; }
 
-  /// Contiguous [length, dim] views of the filled prefix.
+  /// Contiguous [length, dim] views of the filled prefix. Attention
+  /// reads one head's columns in place from these, rows `dim` floats
+  /// apart (kernels::attention_head's `ldkv`).
   [[nodiscard]] std::span<const float> k() const;
   [[nodiscard]] std::span<const float> v() const;
-
-  /// Column-slice copies for one head (or head range) of the filled
-  /// prefix: [length, c1-c0].
-  [[nodiscard]] Tensor k_slice(int c0, int c1) const;
-  [[nodiscard]] Tensor v_slice(int c0, int c1) const;
 
   void reset() { length_ = 0; }
 

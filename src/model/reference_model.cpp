@@ -1,6 +1,7 @@
 #include "model/reference_model.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "kernels/attention.hpp"
 #include "kernels/gemm.hpp"
@@ -15,6 +16,7 @@ ReferenceModel::ReferenceModel(const TransformerConfig& cfg, const Weights& weig
   cfg_.validate();
   DISTMCU_CHECK(weights.num_layers() == cfg.num_layers,
               "ReferenceModel: weights/config layer mismatch");
+  if (cfg.pos == PosEmbed::rope) rope_.emplace(cfg.ar_context, cfg.head_dim, cfg.rope_base);
 }
 
 std::vector<KvCache> ReferenceModel::make_caches(int capacity) const {
@@ -58,47 +60,28 @@ Tensor ReferenceModel::mhsa(const Tensor& x, int layer, std::vector<KvCache>* ca
   kernels::gemm(x.span(), w.wk.span(), k.span(), s, ph, e);
   kernels::gemm(x.span(), w.wv.span(), v.span(), s, ph, e);
 
-  if (cfg_.pos == PosEmbed::rope) {
+  if (rope_) {
     // RoPE per head on Q and K (cached K is post-rotation).
-    for (int h = 0; h < cfg_.num_heads; ++h) {
-      Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-      Tensor kh = k.slice_cols(h * p, (h + 1) * p);
-      kernels::rope_apply(qh.span(), s, p, pos_offset, cfg_.rope_base);
-      kernels::rope_apply(kh.span(), s, p, pos_offset, cfg_.rope_base);
-      for (int r = 0; r < s; ++r) {
-        for (int c = 0; c < p; ++c) {
-          q.at(r, h * p + c) = qh.at(r, c);
-          k.at(r, h * p + c) = kh.at(r, c);
-        }
-      }
-    }
+    kernels::rope_apply(q.span(), s, ph, pos_offset, *rope_);
+    kernels::rope_apply(k.span(), s, ph, pos_offset, *rope_);
   }
 
-  if (caches != nullptr) {
-    auto& cache = (*caches)[static_cast<std::size_t>(layer)];
-    for (int r = 0; r < s; ++r) cache.append(k.row(r), v.row(r));
+  KvCache* cache = caches != nullptr ? &(*caches)[static_cast<std::size_t>(layer)] : nullptr;
+  if (cache != nullptr) {
+    for (int r = 0; r < s; ++r) cache->append(k.row(r), v.row(r));
   }
 
-  // Per-head attention into the concatenated context tensor.
+  // Per-head attention, read in place (rows `ph` floats apart), into the
+  // concatenated context tensor.
+  const std::span<const float> keys = cache != nullptr ? cache->k() : std::as_const(k).span();
+  const std::span<const float> values = cache != nullptr ? cache->v() : std::as_const(v).span();
+  const int s_kv = cache != nullptr ? cache->length() : s;
   Tensor ctx(s, ph);
   const bool causal = cfg_.mask == MaskKind::causal;
   for (int h = 0; h < cfg_.num_heads; ++h) {
-    const Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-    Tensor kh, vh;
-    if (caches != nullptr) {
-      const auto& cache = (*caches)[static_cast<std::size_t>(layer)];
-      kh = cache.k_slice(h * p, (h + 1) * p);
-      vh = cache.v_slice(h * p, (h + 1) * p);
-    } else {
-      kh = k.slice_cols(h * p, (h + 1) * p);
-      vh = v.slice_cols(h * p, (h + 1) * p);
-    }
-    Tensor oh(s, p);
-    kernels::attention_head(qh.span(), kh.span(), vh.span(), oh.span(), s, kh.rows(),
-                            p, causal, pos_offset);
-    for (int r = 0; r < s; ++r) {
-      for (int c = 0; c < p; ++c) ctx.at(r, h * p + c) = oh.at(r, c);
-    }
+    const auto c0 = static_cast<std::size_t>(h * p);
+    kernels::attention_head(q.span().subspan(c0), ph, keys.subspan(c0), values.subspan(c0), ph,
+                            ctx.span().subspan(c0), ph, s, s_kv, p, causal, pos_offset);
   }
 
   Tensor out(s, e);

@@ -1,8 +1,10 @@
 #ifndef DISTMCU_MODEL_REFERENCE_MODEL_HPP
 #define DISTMCU_MODEL_REFERENCE_MODEL_HPP
 
+#include <optional>
 #include <vector>
 
+#include "kernels/rope.hpp"
 #include "model/config.hpp"
 #include "model/kv_cache.hpp"
 #include "model/tensor.hpp"
@@ -65,6 +67,8 @@ class ReferenceModel {
 
   const TransformerConfig& cfg_;
   const Weights& weights_;
+  /// RoPE angles for positions < cfg.ar_context; empty without RoPE.
+  std::optional<kernels::RopeTable> rope_;
 };
 
 }  // namespace distmcu::model

@@ -7,7 +7,14 @@
 namespace distmcu::noc {
 
 Topology::Topology(int n_chips, int group_size, std::vector<Stage> stages)
-    : num_chips_(n_chips), group_size_(group_size), reduce_stages_(std::move(stages)) {}
+    : num_chips_(n_chips),
+      group_size_(group_size),
+      reduce_stages_(std::move(stages)),
+      broadcast_stages_(reduce_stages_.rbegin(), reduce_stages_.rend()) {
+  for (auto& stage : broadcast_stages_) {
+    for (auto& t : stage) std::swap(t.src, t.dst);
+  }
+}
 
 Topology Topology::hierarchical(int n_chips, int group_size) {
   DISTMCU_CHECK(n_chips >= 1, "Topology requires at least one chip");
@@ -45,14 +52,6 @@ Topology Topology::flat(int n_chips) {
     stages.push_back(std::move(stage));
   }
   return Topology(n_chips, n_chips, std::move(stages));
-}
-
-std::vector<Stage> Topology::broadcast_stages() const {
-  std::vector<Stage> out(reduce_stages_.rbegin(), reduce_stages_.rend());
-  for (auto& stage : out) {
-    for (auto& t : stage) std::swap(t.src, t.dst);
-  }
-  return out;
 }
 
 std::size_t Topology::hops_per_reduce() const {

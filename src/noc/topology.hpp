@@ -53,7 +53,11 @@ class Topology {
   [[nodiscard]] int root() const { return 0; }
 
   [[nodiscard]] const std::vector<Stage>& reduce_stages() const { return reduce_stages_; }
-  [[nodiscard]] std::vector<Stage> broadcast_stages() const;
+  /// The reduce stages in reverse order with every hop reversed, built
+  /// once at construction.
+  [[nodiscard]] const std::vector<Stage>& broadcast_stages() const {
+    return broadcast_stages_;
+  }
 
   /// Total number of point-to-point hops in one reduce (== one
   /// broadcast). For a hierarchy this is n_chips - 1.
@@ -65,6 +69,7 @@ class Topology {
   int num_chips_;
   int group_size_;
   std::vector<Stage> reduce_stages_;
+  std::vector<Stage> broadcast_stages_;
 };
 
 }  // namespace distmcu::noc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
 #include "kernels/attention.hpp"
 #include "kernels/gemm.hpp"
@@ -12,22 +13,6 @@
 #include "util/parallel.hpp"
 
 namespace distmcu::partition {
-
-namespace {
-
-/// Copy of the [rows, cols] block of `t` at (r0, c0): one head's columns
-/// of one segment's rows.
-model::Tensor head_rows(const model::Tensor& t, int r0, int rows, int c0, int cols) {
-  model::Tensor out(rows, cols);
-  for (int r = 0; r < rows; ++r) {
-    const auto src = t.row(r0 + r).subspan(static_cast<std::size_t>(c0),
-                                           static_cast<std::size_t>(cols));
-    std::copy(src.begin(), src.end(), out.row(r).begin());
-  }
-  return out;
-}
-
-}  // namespace
 
 void check_row_segments(std::span<const RowSegment> segments, int total_rows,
                         const PartitionPlan& plan, int layer) {
@@ -90,6 +75,7 @@ DistributedBlock::DistributedBlock(const model::TransformerConfig& cfg,
               "DistributedBlock: topology/plan chip count mismatch");
   DISTMCU_CHECK(shards.num_chips() == plan.num_chips(),
               "DistributedBlock: shards/plan chip count mismatch");
+  if (cfg.pos == model::PosEmbed::rope) rope_.emplace(cfg.ar_context, cfg.head_dim, cfg.rope_base);
 }
 
 std::vector<std::vector<model::KvCache>> DistributedBlock::make_chip_caches(
@@ -159,21 +145,18 @@ void DistributedBlock::attend_segment(model::Tensor& q, model::Tensor& k,
                                       const RowSegment& seg, int chip, int layer) const {
   const int n = seg.rows;
   const int p = cfg_.head_dim;
+  const int pw = plan_.proj_width(chip);
   const int local_heads = plan_.slice(chip).num_heads();
+  // The segment's rows of the chip's [R, pw] q/k/v/ctx: `count` elements
+  // from element `first`.
+  const std::size_t first = static_cast<std::size_t>(r0) * static_cast<std::size_t>(pw);
+  const std::size_t count = static_cast<std::size_t>(n) * static_cast<std::size_t>(pw);
 
-  if (cfg_.pos == model::PosEmbed::rope) {
+  if (rope_) {
     // RoPE depends only on the absolute position, never on the head
     // index, so each chip rotates its own slice with no communication.
-    for (int r = 0; r < n; ++r) {
-      for (int h = 0; h < local_heads; ++h) {
-        const auto c0 = static_cast<std::size_t>(h * p);
-        const auto width = static_cast<std::size_t>(p);
-        kernels::rope_apply(q.row(r0 + r).subspan(c0, width), 1, p, seg.pos_offset + r,
-                            cfg_.rope_base);
-        kernels::rope_apply(k.row(r0 + r).subspan(c0, width), 1, p, seg.pos_offset + r,
-                            cfg_.rope_base);
-      }
-    }
+    kernels::rope_apply(q.span().subspan(first, count), n, pw, seg.pos_offset, *rope_);
+    kernels::rope_apply(k.span().subspan(first, count), n, pw, seg.pos_offset, *rope_);
   }
 
   model::KvCache* cache =
@@ -184,19 +167,20 @@ void DistributedBlock::attend_segment(model::Tensor& q, model::Tensor& k,
     for (int r = 0; r < n; ++r) cache->append(k.row(r0 + r), v.row(r0 + r));
   }
 
+  // Every head reads its columns where they lie, `pw` floats a row: the
+  // cache's [length, pw] rows, or without a cache the segment's own K/V
+  // rows; each writes its context columns straight into ctx.
+  const std::span<const float> keys =
+      cache != nullptr ? cache->k() : std::as_const(k).span().subspan(first, count);
+  const std::span<const float> values =
+      cache != nullptr ? cache->v() : v.span().subspan(first, count);
+  const int s_kv = cache != nullptr ? cache->length() : n;
   const bool causal = cfg_.mask == model::MaskKind::causal;
   for (int h = 0; h < local_heads; ++h) {
-    const model::Tensor qh = head_rows(q, r0, n, h * p, p);
-    const model::Tensor kh =
-        cache != nullptr ? cache->k_slice(h * p, (h + 1) * p) : head_rows(k, r0, n, h * p, p);
-    const model::Tensor vh =
-        cache != nullptr ? cache->v_slice(h * p, (h + 1) * p) : head_rows(v, r0, n, h * p, p);
-    model::Tensor oh(n, p);
-    kernels::attention_head(qh.span(), kh.span(), vh.span(), oh.span(), n, kh.rows(), p,
-                            causal, seg.pos_offset);
-    for (int r = 0; r < n; ++r) {
-      for (int c = 0; c < p; ++c) ctx.at(r0 + r, h * p + c) = oh.at(r, c);
-    }
+    const auto c0 = static_cast<std::size_t>(h * p);
+    kernels::attention_head(q.span().subspan(first + c0), pw, keys.subspan(c0),
+                            values.subspan(c0), pw, ctx.span().subspan(first + c0), pw, n, s_kv,
+                            p, causal, seg.pos_offset);
   }
 }
 

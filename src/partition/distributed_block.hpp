@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "kernels/rope.hpp"
 #include "model/config.hpp"
 #include "model/kv_cache.hpp"
 #include "model/tensor.hpp"
@@ -161,6 +163,8 @@ class DistributedBlock {
   const PartitionPlan& plan_;
   const noc::Topology& topo_;
   ChipPhaseWeights phase_weights_;
+  /// RoPE angles for positions < cfg.ar_context; empty without RoPE.
+  std::optional<kernels::RopeTable> rope_;
 };
 
 }  // namespace distmcu::partition

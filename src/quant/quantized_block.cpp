@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "kernels/attention.hpp"
 #include "kernels/gemm.hpp"
@@ -59,6 +60,7 @@ QuantizedBlock::QuantizedBlock(const model::TransformerConfig& cfg,
               "QuantizedBlock: topology/plan chip count mismatch");
   DISTMCU_CHECK(shards.num_chips() == plan.num_chips(),
               "QuantizedBlock: shards/plan chip count mismatch");
+  if (cfg.pos == model::PosEmbed::rope) rope_.emplace(cfg.ar_context, cfg.head_dim, cfg.rope_base);
 
   const int n = plan.num_chips();
   layers_.reserve(static_cast<std::size_t>(cfg.num_layers));
@@ -135,19 +137,9 @@ model::Tensor QuantizedBlock::attn_context(
   kernels::gemm(x.span(), w.wk.span(), k.span(), s, pw, e);
   kernels::gemm(x.span(), w.wv.span(), v.span(), s, pw, e);
 
-  if (cfg_.pos == model::PosEmbed::rope) {
-    for (int h = 0; h < local_heads; ++h) {
-      model::Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-      model::Tensor kh = k.slice_cols(h * p, (h + 1) * p);
-      kernels::rope_apply(qh.span(), s, p, pos_offset, cfg_.rope_base);
-      kernels::rope_apply(kh.span(), s, p, pos_offset, cfg_.rope_base);
-      for (int r = 0; r < s; ++r) {
-        for (int c = 0; c < p; ++c) {
-          q.at(r, h * p + c) = qh.at(r, c);
-          k.at(r, h * p + c) = kh.at(r, c);
-        }
-      }
-    }
+  if (rope_) {
+    kernels::rope_apply(q.span(), s, pw, pos_offset, *rope_);
+    kernels::rope_apply(k.span(), s, pw, pos_offset, *rope_);
   }
 
   if (kv_bits_ <= 8) {
@@ -166,32 +158,25 @@ model::Tensor QuantizedBlock::attn_context(
     }
   }
 
-  if (caches != nullptr) {
-    auto& cache =
-        (*caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
-    for (int r = 0; r < s; ++r) cache.append(k.row(r), v.row(r));
+  model::KvCache* cache =
+      caches == nullptr
+          ? nullptr
+          : &(*caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
+  if (cache != nullptr) {
+    for (int r = 0; r < s; ++r) cache->append(k.row(r), v.row(r));
   }
 
+  // Every head reads its columns in place, `pw` floats a row (see
+  // partition::DistributedBlock::attend_segment).
+  const std::span<const float> keys = cache != nullptr ? cache->k() : std::as_const(k).span();
+  const std::span<const float> values = cache != nullptr ? cache->v() : std::as_const(v).span();
+  const int s_kv = cache != nullptr ? cache->length() : s;
   model::Tensor ctx(s, pw);
   const bool causal = cfg_.mask == model::MaskKind::causal;
   for (int h = 0; h < local_heads; ++h) {
-    const model::Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-    model::Tensor kh, vh;
-    if (caches != nullptr) {
-      const auto& cache =
-          (*caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
-      kh = cache.k_slice(h * p, (h + 1) * p);
-      vh = cache.v_slice(h * p, (h + 1) * p);
-    } else {
-      kh = k.slice_cols(h * p, (h + 1) * p);
-      vh = v.slice_cols(h * p, (h + 1) * p);
-    }
-    model::Tensor oh(s, p);
-    kernels::attention_head(qh.span(), kh.span(), vh.span(), oh.span(), s, kh.rows(), p,
-                            causal, pos_offset);
-    for (int r = 0; r < s; ++r) {
-      for (int c = 0; c < p; ++c) ctx.at(r, h * p + c) = oh.at(r, c);
-    }
+    const auto c0 = static_cast<std::size_t>(h * p);
+    kernels::attention_head(q.span().subspan(c0), pw, keys.subspan(c0), values.subspan(c0), pw,
+                            ctx.span().subspan(c0), pw, s, s_kv, p, causal, pos_offset);
   }
   return ctx;
 }

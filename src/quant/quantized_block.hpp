@@ -2,9 +2,11 @@
 #define DISTMCU_QUANT_QUANTIZED_BLOCK_HPP
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "kernels/rope.hpp"
 #include "model/config.hpp"
 #include "model/kv_cache.hpp"
 #include "model/tensor.hpp"
@@ -131,6 +133,8 @@ class QuantizedBlock {
   int kv_bits_ = 0;
   partition::ChipPhaseWeights phase_weights_;
   std::vector<LayerQuant> layers_;
+  /// RoPE angles for positions < cfg.ar_context; empty without RoPE.
+  std::optional<kernels::RopeTable> rope_;
 };
 
 }  // namespace distmcu::quant

@@ -132,11 +132,17 @@ Scenario make_scenario(std::uint64_t seed) {
     sc.any_bert = sc.any_bert || n.has_bert;
   }
   const auto& cfg = llama_session(4).config();
-  const int n_jobs = 8 + static_cast<int>(rng.next_below(17));
+  // Every other seed arrives in same-cycle bursts of 40, more than the
+  // fleet's nodes can queue (max_pending 8 each, 2-4 nodes), so nodes
+  // refuse dispatches and the router misroutes them to its next pick.
+  const bool bursty = seed % 2 == 1;
+  constexpr int kBurst = 40;
+  const int n_jobs = 8 + static_cast<int>(rng.next_below(17)) + (bursty ? kBurst : 0);
   Cycles t = 0;
   for (int j = 0; j < n_jobs; ++j) {
     Job job;
-    t += rng.next_below(400'000);
+    const Cycles gap = rng.next_below(400'000);
+    if (!bursty || j % kBurst == 0) t += gap;
     job.at = t;
     const bool bert = rng.next_below(4) == 0;
     job.model = bert ? "tinybert" : "tinyllama";
@@ -148,8 +154,17 @@ Scenario make_scenario(std::uint64_t seed) {
     job.new_tokens =
         bert ? 0 : 1 + static_cast<int>(rng.next_below(5));
     job.slo.priority = static_cast<int>(rng.next_below(3));
-    if (rng.next_below(3) != 0) {
-      job.slo.deadline_cycles = (1 + rng.next_below(64)) * 1'000'000;
+    switch (rng.next_below(6)) {
+      case 0:
+      case 1: break;  // best-effort
+      case 2:
+        // Inside a link's round trip on some nodes (latencies reach
+        // 20k cycles each way): the router must refuse it there.
+        job.slo.deadline_cycles = 1 + rng.next_below(40'000);
+        break;
+      default:
+        job.slo.deadline_cycles = (1 + rng.next_below(64)) * 1'000'000;
+        break;
     }
     sc.jobs.push_back(std::move(job));
   }
@@ -268,6 +283,10 @@ TEST(FleetServingInvariants, RandomizedFleetsConserveEveryRequest) {
   const std::uint64_t kSeeds = invariant_seed_count(30);
   SeedReproLog repro("./test_fleet",
                      "FleetServingInvariants.RandomizedFleetsConserveEveryRequest");
+  // Per policy, sweep totals of dispatches each kind of refusal turned
+  // into misroutes.
+  std::map<RoutePolicy, int> engine_refused;
+  std::map<RoutePolicy, int> link_refused;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     repro.begin();
     for (const auto which :
@@ -278,8 +297,20 @@ TEST(FleetServingInvariants, RandomizedFleetsConserveEveryRequest) {
       run_jobs(sc, *f.router);
       SCOPED_TRACE(std::string("policy ") + fleet::route_policy_name(which));
       check_conservation(sc, *f.router, seed);
+      for (const auto& pn : f.router->stats().per_node) {
+        engine_refused[which] += pn.serving.rejected;
+        link_refused[which] += pn.link_rejected;
+      }
     }
     repro.end(seed);
+  }
+  // Every policy must have misrouted after both an engine refusal and a
+  // link refusal somewhere in the sweep, or the dispatch books checked
+  // above are vacuous for it.
+  ASSERT_EQ(engine_refused.size(), 4u);
+  for (const auto& [which, total] : engine_refused) {
+    EXPECT_GT(total, 0) << fleet::route_policy_name(which);
+    EXPECT_GT(link_refused[which], 0) << fleet::route_policy_name(which);
   }
 }
 

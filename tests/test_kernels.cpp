@@ -366,7 +366,7 @@ TEST(Elementwise, AddAndMul) {
 TEST(Rope, PositionZeroIsIdentity) {
   std::vector<float> x{1.0f, 2.0f, 3.0f, 4.0f};
   const std::vector<float> orig(x);
-  k::rope_apply(x, 1, 4, 0, 10000.0f);
+  k::rope_apply(x, 1, 4, 0, k::RopeTable(1, 4, 10000.0f));
   for (int i = 0; i < 4; ++i) EXPECT_NEAR(x[static_cast<std::size_t>(i)], orig[static_cast<std::size_t>(i)], 1e-6);
 }
 
@@ -376,7 +376,7 @@ TEST(Rope, PreservesPairNorms) {
   std::vector<float> x(dim);
   for (auto& v : x) v = rng.uniform(-2, 2);
   const std::vector<float> orig(x);
-  k::rope_apply(x, 1, dim, 37, 10000.0f);
+  k::rope_apply(x, 1, dim, 37, k::RopeTable(38, dim, 10000.0f));
   for (int j = 0; j < dim; j += 2) {
     const float n0 = orig[static_cast<std::size_t>(j)] * orig[static_cast<std::size_t>(j)] +
                      orig[static_cast<std::size_t>(j + 1)] * orig[static_cast<std::size_t>(j + 1)];
@@ -391,9 +391,10 @@ TEST(Rope, RelativePhaseProperty) {
   // between the two depends only on d (relative encoding).
   const int dim = 8;
   std::vector<float> base(dim, 0.5f);
+  const k::RopeTable table(25, dim, 10000.0f);
   auto rotated = [&](int pos) {
     std::vector<float> v(base);
-    k::rope_apply(v, 1, dim, pos, 10000.0f);
+    k::rope_apply(v, 1, dim, pos, table);
     return v;
   };
   auto dot = [&](const std::vector<float>& a, const std::vector<float>& b) {
@@ -407,8 +408,93 @@ TEST(Rope, RelativePhaseProperty) {
 }
 
 TEST(Rope, OddHeadDimRejected) {
-  std::vector<float> x(3);
-  EXPECT_THROW(k::rope_apply(x, 1, 3, 0, 10000.0f), Error);
+  EXPECT_THROW(k::RopeTable(4, 3, 10000.0f), Error);
+}
+
+namespace {
+
+/// The per-row RoPE evaluation the table replaced, kept as the reference:
+/// one head of `head_dim` floats at position `pos`, pow/cos/sin per pair.
+void rope_direct(float* row, int head_dim, int pos, float base) {
+  const auto fpos = static_cast<float>(pos);
+  for (int j = 0; j < head_dim; j += 2) {
+    const float freq = std::pow(base, -static_cast<float>(j) / static_cast<float>(head_dim));
+    const float angle = fpos * freq;
+    const float c = std::cos(angle);
+    const float s = std::sin(angle);
+    const float x0 = row[j];
+    const float x1 = row[j + 1];
+    row[j] = x0 * c - x1 * s;
+    row[j + 1] = x0 * s + x1 * c;
+  }
+}
+
+}  // namespace
+
+// Every entry of the table is the direct formula's cos/sin, bit for bit,
+// at every position below the largest shipped ar_context (MobileBERT's
+// 268) and the shipped head widths: 8 (fleet-sized blocks), 64
+// (TinyLlama) and 128 (MobileBERT).
+TEST(Rope, TableMatchesDirectFormulaAtEveryPosition) {
+  constexpr int kContext = 268;
+  constexpr float kBase = 10000.0f;
+  for (const int dim : {8, 64, 128}) {
+    const k::RopeTable table(kContext, dim, kBase);
+    ASSERT_EQ(table.positions(), kContext);
+    ASSERT_EQ(table.head_dim(), dim);
+    for (int pos = 0; pos < kContext; ++pos) {
+      const auto row = table.row(pos);
+      ASSERT_EQ(row.size(), static_cast<std::size_t>(dim));
+      for (int j = 0; j < dim; j += 2) {
+        const float freq = std::pow(kBase, -static_cast<float>(j) / static_cast<float>(dim));
+        const float angle = static_cast<float>(pos) * freq;
+        const float want[2] = {std::cos(angle), std::sin(angle)};
+        ASSERT_EQ(std::memcmp(&row[static_cast<std::size_t>(j)], want, sizeof want), 0)
+            << "dim " << dim << " pos " << pos << " pair " << j / 2;
+      }
+    }
+  }
+}
+
+// rope_apply over several heads per row and several rows equals the
+// direct per-head rotation bit for bit, with +-0 in the input.
+TEST(Rope, TableApplyMatchesDirectRotation) {
+  constexpr int kContext = 268;
+  constexpr float kBase = 10000.0f;
+  util::Rng rng(29);
+  for (const int dim : {8, 64, 128}) {
+    const k::RopeTable table(kContext, dim, kBase);
+    const int heads = 3;
+    const int width = heads * dim;
+    for (const int pos_offset : {0, 1, 100, kContext - 5}) {
+      const int rows = 5;
+      std::vector<float> x(static_cast<std::size_t>(rows * width));
+      for (auto& v : x) v = rng.uniform(-3, 3);
+      x[1] = 0.0f;
+      x[2] = -0.0f;
+      std::vector<float> want = x;
+      for (int r = 0; r < rows; ++r) {
+        for (int h = 0; h < heads; ++h) {
+          rope_direct(want.data() + static_cast<std::size_t>(r * width + h * dim), dim,
+                      pos_offset + r, kBase);
+        }
+      }
+      k::rope_apply(x, rows, width, pos_offset, table);
+      ASSERT_EQ(std::memcmp(x.data(), want.data(), x.size() * sizeof(float)), 0)
+          << "dim " << dim << " pos_offset " << pos_offset;
+    }
+  }
+}
+
+TEST(Rope, PositionsOutsideTheTableThrow) {
+  const k::RopeTable table(4, 8, 10000.0f);
+  std::vector<float> x(16);
+  EXPECT_NO_THROW(k::rope_apply(x, 2, 8, 2, table));
+  EXPECT_THROW(k::rope_apply(x, 2, 8, 3, table), Error);
+  EXPECT_THROW(k::rope_apply(x, 2, 8, -1, table), Error);
+  EXPECT_THROW((void)table.row(4), Error);
+  std::vector<float> odd_width(12);
+  EXPECT_THROW(k::rope_apply(odd_width, 1, 12, 0, table), Error);
 }
 
 TEST(Attention, UniformScoresAverageValues) {
@@ -443,7 +529,7 @@ TEST(Attention, CausalMaskBlocksFuture) {
   const std::vector<float> kmat{1.0f, 0.0f, 100.0f, 0.0f};  // key1 would dominate
   const std::vector<float> vmat{1.0f, 1.0f, 9.0f, 9.0f};
   std::vector<float> out(static_cast<std::size_t>(s * p));
-  k::attention_head(q, kmat, vmat, out, s, s, p, /*causal=*/true, /*pos_offset=*/0);
+  k::attention_head(q, p, kmat, vmat, p, out, p, s, s, p, /*causal=*/true, /*pos_offset=*/0);
   // Row 0 can only attend to key 0 -> exactly v0.
   EXPECT_NEAR(out[0], 1.0f, 1e-5);
   EXPECT_NEAR(out[1], 1.0f, 1e-5);
@@ -457,7 +543,7 @@ TEST(Attention, BidirectionalSeesAll) {
   const std::vector<float> kmat{1.0f, 0.0f, 100.0f, 0.0f};
   const std::vector<float> vmat{1.0f, 1.0f, 9.0f, 9.0f};
   std::vector<float> out(static_cast<std::size_t>(s * p));
-  k::attention_head(q, kmat, vmat, out, s, s, p, /*causal=*/false, /*pos_offset=*/0);
+  k::attention_head(q, p, kmat, vmat, p, out, p, s, s, p, /*causal=*/false, /*pos_offset=*/0);
   EXPECT_GT(out[0], 5.0f);  // row 0 now also dominated by key 1
 }
 
@@ -469,6 +555,129 @@ TEST(Attention, PosOffsetExtendsVisibility) {
   const std::vector<float> kmat{1.0f, 0.0f, 100.0f, 0.0f};
   const std::vector<float> vmat{1.0f, 1.0f, 9.0f, 9.0f};
   std::vector<float> out(p);
-  k::attention_head(q, kmat, vmat, out, 1, 2, p, /*causal=*/true, /*pos_offset=*/1);
+  k::attention_head(q, p, kmat, vmat, p, out, p, 1, 2, p, /*causal=*/true, /*pos_offset=*/1);
   EXPECT_GT(out[0], 5.0f);
+}
+
+namespace {
+
+/// The composition the strided kernel replaced, kept as the reference:
+/// copy one head out contiguously, then gemm_nt(Q, K), scale, causal
+/// mask, softmax_rows and gemm(P, V).
+std::vector<float> attention_by_composition(const std::vector<float>& q, int ldq,
+                                            const std::vector<float>& kv_k,
+                                            const std::vector<float>& kv_v, int ldkv,
+                                            int s_q, int s_kv, int p, bool causal,
+                                            int pos_offset) {
+  const auto copy_rows = [p](const std::vector<float>& src, int rows, int ld) {
+    std::vector<float> out(static_cast<std::size_t>(rows * p));
+    for (int r = 0; r < rows; ++r) {
+      std::copy_n(src.begin() + static_cast<std::ptrdiff_t>(r) * ld, p,
+                  out.begin() + static_cast<std::ptrdiff_t>(r) * p);
+    }
+    return out;
+  };
+  const auto qc = copy_rows(q, s_q, ldq);
+  const auto kc = copy_rows(kv_k, s_kv, ldkv);
+  const auto vc = copy_rows(kv_v, s_kv, ldkv);
+  std::vector<float> scores(static_cast<std::size_t>(s_q * s_kv));
+  k::gemm_nt(qc, kc, scores, s_q, s_kv, p);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(p));
+  for (float& x : scores) x *= scale;
+  if (causal) {
+    for (int i = 0; i < s_q; ++i) {
+      for (int j = pos_offset + i + 1; j < s_kv; ++j) {
+        scores[static_cast<std::size_t>(i * s_kv + j)] = -std::numeric_limits<float>::infinity();
+      }
+    }
+  }
+  k::softmax_rows(scores, s_q, s_kv);
+  std::vector<float> out(static_cast<std::size_t>(s_q * p));
+  k::gemm(scores, vc, out, s_q, p, s_kv);
+  return out;
+}
+
+}  // namespace
+
+// The strided kernel is bit-equal to the copy + gemm_nt + softmax + gemm
+// composition for the shipped head widths, causal (with a cached prefix)
+// and bidirectional, contiguous and padded strides, +-0 in Q/K/V, keys
+// past the causal horizon holding inf, and a visible key whose
+// probability underflows to exactly 0 holding inf in V: a zero
+// probability must add nothing, masked or not. Padding between rows is
+// never written.
+TEST(AttentionStrided, MatchesCopiedGemmCompositionBitForBit) {
+  struct Shape {
+    int s_q, s_kv, pos_offset;
+  };
+  util::Rng rng(41);
+  int underflowed = 0;
+  for (const int p : {8, 64, 128}) {
+    for (const bool causal : {true, false}) {
+      for (const Shape sh : {Shape{1, 48, 47}, Shape{4, 20, 16}, Shape{16, 16, 0},
+                             Shape{3, 12, 5}, Shape{1, 1, 0}}) {
+        for (const bool padded : {false, true}) {
+          const int ldq = padded ? 4 * p : p;
+          const int ldkv = padded ? 3 * p + 2 : p;
+          const int ldo = padded ? 2 * p + 1 : p;
+          std::vector<float> q(static_cast<std::size_t>(sh.s_q * ldq));
+          std::vector<float> kk(static_cast<std::size_t>(sh.s_kv * ldkv));
+          std::vector<float> vv(kk.size());
+          for (auto& x : q) x = rng.uniform(0.25f, 1.0f);
+          for (auto& x : kk) x = rng.uniform(-1, 1);
+          for (auto& x : vv) x = rng.uniform(-1, 1);
+          q[0] = 0.0f;
+          q[1] = -0.0f;
+          kk[2] = -0.0f;
+          vv[3] = -0.0f;
+          vv[static_cast<std::size_t>(p - 1)] = 0.0f;
+          constexpr float kInf = std::numeric_limits<float>::infinity();
+          // A key every query scores far below the rest: its probability
+          // underflows to exactly +0 while it stays visible.
+          const int sink = sh.s_kv > 1 ? 1 : -1;
+          if (sink > 0) {
+            for (int c = 0; c < p; ++c) {
+              kk[static_cast<std::size_t>(sink * ldkv + c)] = -1.0e4f;
+            }
+            vv[static_cast<std::size_t>(sink * ldkv)] = kInf;
+          }
+          // Keys past every query's causal horizon.
+          if (causal) {
+            for (int j = sh.pos_offset + sh.s_q; j < sh.s_kv; ++j) {
+              vv[static_cast<std::size_t>(j * ldkv + 1)] = -kInf;
+            }
+          }
+          const auto want = attention_by_composition(q, ldq, kk, vv, ldkv, sh.s_q, sh.s_kv, p,
+                                                     causal, sh.pos_offset);
+          constexpr float kPad = 12345.0f;
+          std::vector<float> out(static_cast<std::size_t>(sh.s_q * ldo), kPad);
+          k::attention_head(q, ldq, kk, vv, ldkv, out, ldo, sh.s_q, sh.s_kv, p, causal,
+                            sh.pos_offset);
+          for (int i = 0; i < sh.s_q; ++i) {
+            const float* got = out.data() + static_cast<std::size_t>(i * ldo);
+            ASSERT_EQ(std::memcmp(got, want.data() + static_cast<std::size_t>(i * p),
+                                  static_cast<std::size_t>(p) * sizeof(float)),
+                      0)
+                << "p " << p << " causal " << causal << " s_q " << sh.s_q << " s_kv "
+                << sh.s_kv << " padded " << padded << " row " << i;
+            for (int c = p; c < ldo; ++c) ASSERT_EQ(got[c], kPad);
+            ASSERT_TRUE(std::isfinite(got[0])) << "p " << p << " row " << i;
+          }
+          if (sink > 0) ++underflowed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(underflowed, 0);
+}
+
+TEST(AttentionStrided, RejectsShortOperandsAndAliasing) {
+  const int p = 4;
+  std::vector<float> q(2 * 8), kv(3 * 8), out(2 * 8);
+  EXPECT_NO_THROW(k::attention_head(q, 8, kv, kv, 8, out, 8, 2, 3, p, true, 1));
+  EXPECT_THROW(k::attention_head(q, 8, kv, kv, 8, out, 8, 3, 3, p, true, 0), Error);
+  EXPECT_THROW(k::attention_head(q, 8, kv, kv, 8, out, 8, 2, 4, p, true, 0), Error);
+  EXPECT_THROW(k::attention_head(q, 2, kv, kv, 8, out, 8, 2, 3, p, true, 0), Error);
+  EXPECT_THROW(k::attention_head(q, 8, kv, kv, 8, q, 8, 2, 3, p, true, 0), Error);
+  EXPECT_THROW(k::attention_head(q, 8, kv, kv, 8, out, 8, 2, 3, p, true, -1), Error);
 }

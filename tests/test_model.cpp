@@ -164,36 +164,46 @@ TEST(KvCacheTest, AppendAndViews) {
   EXPECT_EQ(cache.k().size(), 12u);
   EXPECT_FLOAT_EQ(cache.k()[0], 1.0f);
   EXPECT_FLOAT_EQ(cache.v()[6], 4.0f);
-  const Tensor ks = cache.k_slice(2, 4);
-  EXPECT_EQ(ks.rows(), 2);
-  EXPECT_EQ(ks.cols(), 2);
-  EXPECT_FLOAT_EQ(ks.at(1, 0), 3.0f);
+  // Row 1, column 2 of the [length, dim] view: the second append.
+  EXPECT_FLOAT_EQ(cache.k()[1 * 6 + 2], 3.0f);
 }
 
-TEST(KvCacheTest, HeadSlicesCopyFilledRowsOnly) {
+// Attention reads one head's columns straight out of k()/v(): element
+// (r, c) of head columns [c0, c0 + p) is view[r * dim + c0 + c]. The
+// views cover the filled rows only and alias the cache's storage, so an
+// append extends them in place.
+TEST(KvCacheTest, HeadViewsReadFilledRowsInPlace) {
   KvCache cache(5, 6);
-  EXPECT_THROW((void)cache.k_slice(0, 2), Error);
-  for (int pos = 0; pos < 3; ++pos) {
+  EXPECT_TRUE(cache.k().empty());
+  EXPECT_TRUE(cache.v().empty());
+  const auto append_row = [&cache](int pos) {
     std::vector<float> k(6), v(6);
     for (int c = 0; c < 6; ++c) {
       k[static_cast<std::size_t>(c)] = static_cast<float>(10 * pos + c);
       v[static_cast<std::size_t>(c)] = -static_cast<float>(10 * pos + c);
     }
     cache.append(k, v);
-  }
-  const Tensor ks = cache.k_slice(1, 4);
-  const Tensor vs = cache.v_slice(4, 6);
-  ASSERT_EQ(ks.rows(), 3);
-  ASSERT_EQ(ks.cols(), 3);
-  ASSERT_EQ(vs.rows(), 3);
-  ASSERT_EQ(vs.cols(), 2);
+  };
+  for (int pos = 0; pos < 3; ++pos) append_row(pos);
+  const auto ks = cache.k().subspan(1);  // head columns [1, 4)
+  const auto vs = cache.v().subspan(4);  // head columns [4, 6)
+  ASSERT_EQ(cache.k().size(), 18u);
+  ASSERT_EQ(cache.v().size(), 18u);
   for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 3; ++c) EXPECT_EQ(ks.at(r, c), static_cast<float>(10 * r + 1 + c));
-    for (int c = 0; c < 2; ++c) EXPECT_EQ(vs.at(r, c), -static_cast<float>(10 * r + 4 + c));
+    for (int c = 0; c < 3; ++c) {
+      EXPECT_EQ(ks[static_cast<std::size_t>(r * 6 + c)], static_cast<float>(10 * r + 1 + c));
+    }
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_EQ(vs[static_cast<std::size_t>(r * 6 + c)], -static_cast<float>(10 * r + 4 + c));
+    }
   }
-  EXPECT_THROW((void)cache.k_slice(2, 2), Error);
-  EXPECT_THROW((void)cache.v_slice(-1, 2), Error);
-  EXPECT_THROW((void)cache.v_slice(4, 7), Error);
+  const float* k_data = cache.k().data();
+  append_row(3);
+  EXPECT_EQ(cache.k().data(), k_data);
+  EXPECT_EQ(cache.k().size(), 24u);
+  EXPECT_EQ(cache.k()[3 * 6 + 1], 31.0f);
+  cache.reset();
+  EXPECT_TRUE(cache.k().empty());
 }
 
 TEST(KvCacheTest, CapacityEnforced) {

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -167,6 +168,37 @@ void decorate_slo(Scenario& sc, std::uint64_t seed) {
     if (rng.next_below(3) != 0) {
       job.slo.deadline_cycles = (1 + rng.next_below(64)) * 1'000'000;
     }
+  }
+}
+
+/// Best-effort first, tight later: the first jobs fill the batch before
+/// serving starts as best-effort requests that decode as long as their
+/// context allows, and every later job arrives from step 2 on with a
+/// deadline between 1.125x and 1.5x its own idle-engine cost estimate. Such
+/// a job is feasible when it arrives but not after waiting for a running
+/// request to finish: the shape under which deadline-aware preemption
+/// evicts. Prompts and the later jobs' lengths are make_scenario's.
+void decorate_best_effort_first(Scenario& sc, std::uint64_t seed) {
+  util::Rng rng(seed * 0x5851f42d4c957f2dull + 5);
+  const int n = static_cast<int>(sc.jobs.size());
+  sc.opts.max_batch = std::max(1, std::min(sc.opts.max_batch, n - 1));
+  sc.opts.max_pending = std::max(sc.opts.max_pending, n);
+  const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
+  const int ctx = dep.session->config().ar_context;
+  const BatchedEngine estimator(*dep.session, sc.opts);
+  for (int j = 0; j < n; ++j) {
+    auto& job = sc.jobs[static_cast<std::size_t>(j)];
+    const int plen = static_cast<int>(job.prompt.size());
+    if (j < sc.opts.max_batch) {
+      job.submit_after_step = 0;
+      job.new_tokens = std::min(ctx - plen, 6);
+      job.slo = {};
+      continue;
+    }
+    job.submit_after_step = std::max(job.submit_after_step, 2);
+    const Cycles est = estimator.estimate_cost(job.model, plen, job.new_tokens);
+    job.slo.priority = static_cast<int>(rng.next_below(4));
+    job.slo.deadline_cycles = est + est * (1 + rng.next_below(4)) / 8;
   }
 }
 
@@ -713,12 +745,19 @@ TEST(ServingInvariants, PreemptionKeepsEveryInvariantUnderEveryPolicy) {
   SeedReproLog repro(
       "./test_serving_invariants",
       "ServingInvariants.PreemptionKeepsEveryInvariantUnderEveryPolicy");
+  std::map<SchedulePolicy, int> preemptions;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     repro.begin();
     for (const auto policy : {SchedulePolicy::fifo, SchedulePolicy::priority,
                               SchedulePolicy::edf}) {
       Scenario sc = make_scenario(seed);
-      decorate_slo(sc, seed);
+      // Odd seeds keep the random SLO mix; even seeds take the shape
+      // that makes preemption fire.
+      if (seed % 2 == 0) {
+        decorate_best_effort_first(sc, seed);
+      } else {
+        decorate_slo(sc, seed);
+      }
       sc.opts.scheduler = runtime::make_scheduler(policy);
       sc.opts.preemption = std::make_shared<runtime::DeadlineAwarePreemption>();
       const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
@@ -727,6 +766,7 @@ TEST(ServingInvariants, PreemptionKeepsEveryInvariantUnderEveryPolicy) {
       SCOPED_TRACE(std::string("policy ") + runtime::policy_name(policy));
       check_invariants(sc, engine, results, seed, /*fifo_admission=*/false);
       EXPECT_EQ(engine.stats().preemptions, engine.stats().resumes);
+      preemptions[policy] += engine.stats().preemptions;
       if (dep.cheap_numerics) {
         for (const auto& job : sc.jobs) {
           if (!job.id.has_value()) continue;
@@ -738,6 +778,12 @@ TEST(ServingInvariants, PreemptionKeepsEveryInvariantUnderEveryPolicy) {
     }
     repro.end(seed);
   }
+  // Every policy must have evicted somewhere in the sweep, or the
+  // checkpoint/resume invariants above are vacuous for it.
+  for (const auto& [policy, total] : preemptions) {
+    EXPECT_GT(total, 0) << runtime::policy_name(policy);
+  }
+  EXPECT_EQ(preemptions.size(), 3u);
 }
 
 // --- deterministic cross-checks against the single-stream runtimes --------
